@@ -46,7 +46,7 @@ from repro.core.analyzer.pca import PCA
 from repro.core.analyzer.phases import Phase, build_phases
 from repro.core.analyzer.visualize import write_chrome_trace
 from repro.core.profiler.record import ProfileRecord, StepStats
-from repro.errors import AnalyzerError, AnalyzerMemoryError, ClusteringError
+from repro.errors import AnalyzerError, AnalyzerMemoryError
 from repro.parallel import WorkerPool
 
 __all__ = [
@@ -234,28 +234,13 @@ class TPUPointAnalyzer:
         with obs.trace(
             "analyzer.kmeans_sweep", steps=matrix.shape[0], workers=self.pool.workers
         ) as span:
-            feasible = [k for k in k_values if k <= matrix.shape[0]]
-            if not feasible:
-                raise ClusteringError("no feasible k values for the sample count")
-            if self.pool.is_serial:
-                # Inline execution keeps one span per k nested under the
-                # sweep span (span parents never cross threads).
-                results: dict[int, kmeans_mod.KMeansResult] = {}
-                for k in feasible:
-                    with obs.trace("analyzer.kmeans_fit", k=k) as fit_span:
-                        result = kmeans_mod.kmeans(matrix, k, seed=self.seed)
-                        fit_span.set(inertia=result.inertia, iterations=result.iterations)
-                    results[k] = result
-            else:
-                results = kmeans_mod.sweep_k(
-                    matrix, feasible, seed=self.seed, pool=self.pool
-                )
+            results = kmeans_mod.sweep_k(matrix, k_values, seed=self.seed, pool=self.pool)
             span.set(k_count=len(results))
         _SWEEP_SECONDS.labels(algorithm="kmeans").observe(time.perf_counter() - began)
         return results
 
-    def kmeans_sweep(self, k_values: range | list[int] = kmeans_mod.K_SWEEP) -> dict[int, float]:
-        """SSD per k (Figure 4's series), memoized by content hash."""
+    def _sweep(self, k_values: range | list[int]) -> tuple[dict[int, float], dict | None]:
+        """SSD per k, memoized, plus the sweep's fits when it ran (None on a hit)."""
         key = None
         if self.cache is not None:
             key = matrix_key(
@@ -266,21 +251,23 @@ class TPUPointAnalyzer:
             )
             cached = self.cache.get_table(key)
             if cached is not None:
-                return {int(k): float(v) for k, v in cached.items()}
+                return {int(k): float(v) for k, v in cached.items()}, None
         results = self._kmeans_results(k_values)
         sweep = {k: result.inertia for k, result in results.items()}
         if key is not None:
             self.cache.put_table(key, {str(k): v for k, v in sweep.items()})
-        return sweep
+        return sweep, results
+
+    def kmeans_sweep(self, k_values: range | list[int] = kmeans_mod.K_SWEEP) -> dict[int, float]:
+        """SSD per k (Figure 4's series), memoized by content hash."""
+        return self._sweep(k_values)[0]
 
     def choose_k(
         self, k_values: range | list[int] = kmeans_mod.K_SWEEP, criterion: str = "elbow"
     ) -> int:
         """Select k by the elbow method (the paper) or SimPoint's BIC."""
         if criterion == "elbow":
-            sweep = self.kmeans_sweep(k_values)
-            ks = sorted(sweep)
-            return ks[find_elbow([float(k) for k in ks], [sweep[k] for k in ks])]
+            return kmeans_mod.elbow_k(self.kmeans_sweep(k_values))
         if criterion == "bic":
             from repro.core.analyzer.bic import choose_k_bic
 
@@ -288,12 +275,18 @@ class TPUPointAnalyzer:
         raise AnalyzerError(f"unknown k-selection criterion {criterion!r}")
 
     def kmeans_phases(self, k: int | None = None) -> AnalysisResult:
-        """Detect phases with k-means (elbow-selected k by default)."""
+        """Detect phases with k-means (elbow-selected k by default).
+
+        The elbow-selected fit is taken from the k-sweep itself, not refit.
+        """
         began = time.perf_counter()
         with obs.trace("analyzer.kmeans_phases") as span:
-            if k is None:
-                k = self.choose_k()
             matrix = self.reduced_matrix()
+            fit = None
+            if k is None:
+                sweep, results = self._sweep(kmeans_mod.K_SWEEP)
+                fit = None if results is None else kmeans_mod.elbow_fit(results)
+                k = kmeans_mod.elbow_k(sweep) if fit is None else fit.k
             key = labels = inertia = None
             if self.cache is not None:
                 key = matrix_key(matrix, "kmeans_labels", seed=self.seed, k=k)
@@ -302,11 +295,10 @@ class TPUPointAnalyzer:
                     labels = np.asarray(table["labels"], dtype=int)
                     inertia = float(table["inertia"])
             if labels is None:
-                with obs.trace("analyzer.kmeans_fit", k=k):
-                    result = kmeans_mod.kmeans(
-                        matrix, k, seed=self.seed, pool=self.pool
-                    )
-                labels, inertia = result.labels, result.inertia
+                if fit is None:
+                    with obs.trace("analyzer.kmeans_fit", k=k):
+                        fit = kmeans_mod.kmeans(matrix, k, seed=self.seed, pool=self.pool)
+                labels, inertia = fit.labels, fit.inertia
                 if key is not None:
                     self.cache.put_table(
                         key, {"labels": labels.tolist(), "inertia": inertia}

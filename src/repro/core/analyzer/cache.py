@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.core.analyzer.distance import KERNEL_VERSION
 from repro.core.profiler.codec import CODEC_VERSION
 from repro.core.profiler.serialize import SCHEMA_VERSION
 from repro.errors import CacheError
@@ -51,12 +52,13 @@ def matrix_key(matrix: np.ndarray, stage: str, **params) -> str:
     Hashes the array's dtype, shape, and raw bytes plus a canonical
     rendering of the stage name and parameters. Any input change —
     including dtype or layout-invisible value changes — yields a new key.
-    The record schema and binary codec versions are folded in as a salt,
-    so entries written before a format change can never be served after
-    one: a version bump invalidates the whole store by construction.
+    The record schema, codec and kernel versions are folded in as a salt,
+    so entries written before a format or kernel change can never be served
+    after one: a version bump invalidates the whole store by construction.
     """
     digest = hashlib.sha256()
-    digest.update(f"schema={SCHEMA_VERSION};codec={CODEC_VERSION};".encode("utf-8"))
+    salt = f"schema={SCHEMA_VERSION};codec={CODEC_VERSION};kernel={KERNEL_VERSION};"
+    digest.update(salt.encode("utf-8"))
     digest.update(stage.encode("utf-8"))
     digest.update(str(matrix.dtype).encode("utf-8"))
     digest.update(repr(matrix.shape).encode("utf-8"))

@@ -35,6 +35,10 @@ from repro.errors import AnalyzerMemoryError, ClusteringError
 #: Transient block budget used when the caller sets no explicit budget.
 DEFAULT_BLOCK_BYTES = 8 * 1024 * 1024
 
+#: Salted into memo-cache keys: bump it whenever a kernel change can
+#: move any bit of a clustering output, so older cached results miss.
+KERNEL_VERSION = 2
+
 #: Rows probed up front to seed the neighbor-graph radius cap.
 _PROBE_ROWS = 64
 
@@ -65,9 +69,13 @@ def distance_passes() -> int:
 
 
 def block_rows(
-    n_columns: int, memory_budget_bytes: float | None, what: str = "distance block"
+    n_rows: int, n_columns: int, memory_budget_bytes: float | None, what: str = "distance block"
 ) -> int:
-    """Rows per distance block under the budget (>= 1 or raises)."""
+    """Rows per distance block under the budget (>= 1 or raises).
+
+    Capped by the rows being blocked, not the column count, so a k-means
+    assignment (steps x k centers) is one BLAS call up to the budget.
+    """
     if n_columns <= 0:
         return 1
     budget = DEFAULT_BLOCK_BYTES if memory_budget_bytes is None else memory_budget_bytes
@@ -79,7 +87,7 @@ def block_rows(
                 f"row, over the {memory_budget_bytes:.0f} B budget"
             )
         rows = 1
-    return min(rows, max(n_columns, 1))
+    return min(rows, max(n_rows, 1))
 
 
 def _sq_block(
@@ -117,7 +125,7 @@ def pairwise_sq_distances(
     a_sq = np.einsum("ij,ij->i", a, a)
     other_sq = a_sq if b is None else np.einsum("ij,ij->i", other, other)
     out = np.empty((a.shape[0], other.shape[0]))
-    rows = block_rows(other.shape[0], memory_budget_bytes)
+    rows = block_rows(a.shape[0], other.shape[0], memory_budget_bytes)
     for start in range(0, a.shape[0], rows):
         stop = min(start + rows, a.shape[0])
         out[start:stop] = _sq_block(a[start:stop], other, a_sq[start:stop], other_sq)
@@ -151,7 +159,7 @@ def kth_neighbor_distances(
     matrix = np.ascontiguousarray(matrix, dtype=float)
     row_sq = np.einsum("ij,ij->i", matrix, matrix)
     out = np.empty(n)
-    rows = block_rows(n, memory_budget_bytes, "k-distance block")
+    rows = block_rows(n, n, memory_budget_bytes, "k-distance block")
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         sq = _sq_block(matrix[start:stop], matrix, row_sq[start:stop], row_sq)
@@ -249,7 +257,7 @@ def build_neighbor_graph(
     matrix = np.ascontiguousarray(matrix, dtype=float)
     row_sq = np.einsum("ij,ij->i", matrix, matrix)
     column = min(max(neighbor, 0), n - 1)
-    rows = block_rows(n, memory_budget_bytes, "DBSCAN distance block")
+    rows = block_rows(n, n, memory_budget_bytes, "DBSCAN distance block")
 
     auto_eps = eps is None
     if auto_eps:

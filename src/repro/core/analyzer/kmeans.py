@@ -10,6 +10,8 @@ The assignment step uses the blocked shared distance kernel
 runs on :class:`repro.parallel.WorkerPool`: every (k, restart) task
 draws from its own named RNG substream, so any worker count — including
 the serial inline pool — produces bit-identical labels and inertia.
+The elbow-chosen fit is taken from the sweep (:func:`elbow_fit`): it
+equals a separate seeded fit at that k, so it is never refit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.core.analyzer.distance import pairwise_sq_distances
+from repro.core.analyzer.elbow import find_elbow
 from repro.errors import ClusteringError
 from repro.parallel import WorkerPool, task_rng
 
@@ -191,23 +195,36 @@ def sweep_k(
 ) -> dict[int, KMeansResult]:
     """Run k-means for every k, as the analyzer's stage 2 prescribes.
 
-    With ``seed`` the whole (k x restart) grid becomes one flat task
-    list over ``pool`` — maximal fan-out — reduced per k by
+    With ``seed`` and a parallel ``pool`` the whole (k x restart) grid
+    becomes one flat task list — maximal fan-out — reduced per k by
     :func:`_best_of`; results are identical at any worker count.
     """
     feasible = [k for k in k_values if k <= matrix.shape[0]]
     if not feasible:
         raise ClusteringError("no feasible k values for the sample count")
-    if seed is not None:
+    results: dict[int, KMeansResult] = {}
+    if seed is not None and pool is not None and not pool.is_serial:
         tasks = [(k, i) for k in feasible for i in range(n_init)]
         fits = _fit_tasks(matrix, tasks, seed, pool, 300, 1e-6)
-        results: dict[int, KMeansResult] = {}
         for k in feasible:
             per_k = [fit for (task_k, _), fit in zip(tasks, fits) if task_k == k]
             results[k] = _best_of(per_k)
         return results
-    rng = rng or np.random.default_rng(0)
-    results = {}
+    rng = rng or np.random.default_rng(0)  # unused by seeded fits
     for k in feasible:
-        results[k] = kmeans(matrix, k, rng, n_init=n_init)
+        # Inline fits get one span per k (span parents never cross threads).
+        with obs.trace("analyzer.kmeans_fit", k=k) as span:
+            results[k] = kmeans(matrix, k, rng, n_init=n_init, seed=seed)
+            span.set(inertia=results[k].inertia, iterations=results[k].iterations)
     return results
+
+
+def elbow_k(sweep: dict[int, float]) -> int:
+    """The elbow-selected k of an SSD-per-k series (Section IV-A)."""
+    ks = sorted(sweep)
+    return ks[find_elbow([float(k) for k in ks], [sweep[k] for k in ks])]
+
+
+def elbow_fit(results: dict[int, KMeansResult]) -> KMeansResult:
+    """The elbow-chosen fit of a :func:`sweep_k` result, taken from the sweep."""
+    return results[elbow_k({k: fit.inertia for k, fit in results.items()})]

@@ -52,9 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import rng as rng_mod
-from repro.core.analyzer.kmeans import DEFAULT_N_INIT, K_SWEEP
+from repro.core.analyzer.kmeans import DEFAULT_N_INIT, K_SWEEP, elbow_fit, elbow_k, sweep_k
 from repro.core.analyzer.kmeans import kmeans as batch_kmeans
-from repro.core.analyzer.elbow import find_elbow
 from repro.core.analyzer.features import build_features
 from repro.core.analyzer.pca import PCA
 from repro.core.profiler.record import OperatorStats, ProfileRecord, StepStats
@@ -528,23 +527,11 @@ class StreamingAnalyzer:
             steps_view.extend([self._unique_steps[run.uid]] * run.count)
         combined = build_features(steps_view).combined(standardize=True)
         matrix = PCA(max_components=self.config.max_pca_dims).fit_transform(combined)
-        k = self.config.k
-        if k is None:
-            k = self._choose_k_exact(matrix)
-        result = batch_kmeans(matrix, k, seed=self.config.seed)
-        return result.labels, {"k": k, "inertia": result.inertia, "mode": "exact"}
-
-    def _choose_k_exact(self, matrix: np.ndarray) -> int:
-        """The batch analyzer's elbow selection, same sweep, same seeds."""
-        feasible = [k for k in K_SWEEP if k <= matrix.shape[0]]
-        if not feasible:
-            raise AnalyzerError("no feasible k values for the sample count")
-        sweep = {
-            k: batch_kmeans(matrix, k, seed=self.config.seed).inertia
-            for k in feasible
-        }
-        ks = sorted(sweep)
-        return ks[find_elbow([float(k) for k in ks], [sweep[k] for k in ks])]
+        if self.config.k is None:
+            result = elbow_fit(sweep_k(matrix, seed=self.config.seed))
+        else:
+            result = batch_kmeans(matrix, self.config.k, seed=self.config.seed)
+        return result.labels, {"k": result.k, "inertia": result.inertia, "mode": "exact"}
 
     def _analyze_sketch(self) -> tuple[np.ndarray, dict]:
         """Never-materializing path: moments -> eigen PCA -> weighted k-means."""
@@ -586,14 +573,8 @@ class StreamingAnalyzer:
         feasible = [k for k in K_SWEEP if k <= projected.shape[0]]
         if not feasible:
             feasible = [1]
-        sweep = {
-            k: _weighted_kmeans(projected, weights, k, self.config.seed)[1]
-            for k in feasible
-        }
-        ks = sorted(sweep)
-        if len(ks) <= 2:
-            return ks[0]
-        return ks[find_elbow([float(k) for k in ks], [sweep[k] for k in ks])]
+        sweep = {k: _weighted_kmeans(projected, weights, k, self.config.seed)[1] for k in feasible}
+        return elbow_k(sweep)
 
     def _build_phases(
         self, labels: np.ndarray

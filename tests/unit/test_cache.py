@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.analyzer import TPUPointAnalyzer
+from repro.core.analyzer import cache as cache_mod
 from repro.core.analyzer.cache import AnalysisCache, matrix_key
 from repro.errors import CacheError
 
@@ -29,6 +30,13 @@ class TestMatrixKey:
         assert base != matrix_key(matrix, "kmeans_sweep", max_dims=10)
         assert base != matrix_key(matrix, "pca", max_dims=11)
         assert base != matrix_key(matrix.astype(np.float32), "pca", max_dims=10)
+
+    @pytest.mark.parametrize("salt", ["SCHEMA_VERSION", "CODEC_VERSION", "KERNEL_VERSION"])
+    def test_version_bump_changes_key(self, matrix, monkeypatch, salt):
+        # Entries written before a format or kernel change must miss after it.
+        base = matrix_key(matrix, "kmeans_sweep", seed=0)
+        monkeypatch.setattr(cache_mod, salt, getattr(cache_mod, salt) + 1)
+        assert matrix_key(matrix, "kmeans_sweep", seed=0) != base
 
 
 class TestMemoryTier:
@@ -95,3 +103,12 @@ class TestAnalyzerIntegration:
         plain = TPUPointAnalyzer(records)
         cached = TPUPointAnalyzer(records, cache=AnalysisCache(directory=tmp_path))
         assert plain.kmeans_sweep(range(1, 4)) == cached.kmeans_sweep(range(1, 4))
+        # The elbow path, cold (fit taken from the sweep) and warm (sweep
+        # and labels tables served from disk), equals the uncached one.
+        reference = plain.kmeans_phases()
+        warm = TPUPointAnalyzer(records, cache=AnalysisCache(directory=tmp_path))
+        for analyzer in (cached, warm):
+            phases = analyzer.kmeans_phases()
+            assert phases.params == reference.params
+            assert np.array_equal(phases.labels, reference.labels)
+        assert warm.cache.misses == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.analyzer import distance as distance_mod
 from repro.core.analyzer.distance import (
     NeighborGraph,
     block_rows,
@@ -26,6 +27,20 @@ def matrix(rng) -> np.ndarray:
     return rng.normal(size=(37, 5)) * 10.0
 
 
+@pytest.fixture
+def sq_block_calls(monkeypatch) -> list[int]:
+    """Rows per ``_sq_block`` call (one entry per BLAS block)."""
+    calls: list[int] = []
+    kernel = distance_mod._sq_block
+
+    def counting(block, *args):
+        calls.append(block.shape[0])
+        return kernel(block, *args)
+
+    monkeypatch.setattr(distance_mod, "_sq_block", counting)
+    return calls
+
+
 class TestPairwise:
     def test_matches_naive_broadcast(self, matrix):
         got = pairwise_sq_distances(matrix)
@@ -36,6 +51,15 @@ class TestPairwise:
         got = pairwise_sq_distances(matrix, other)
         assert got.shape == (37, 11)
         assert np.allclose(got, naive_sq(matrix, other), atol=1e-8)
+
+    def test_assignment_is_one_block_per_call(self, rng, sq_block_calls):
+        # The k-means assignment shape: every step against k centers.
+        steps = rng.normal(size=(400, 8))
+        for k in range(1, 16):
+            sq_block_calls.clear()
+            got = pairwise_sq_distances(steps, steps[:k])
+            assert sq_block_calls == [400]
+            assert np.allclose(got, naive_sq(steps, steps[:k]), atol=1e-8)
 
     def test_small_block_same_answer(self, matrix):
         # A budget that forces many tiny blocks must not change values.
@@ -64,14 +88,25 @@ class TestPairwise:
 
 class TestBlockRows:
     def test_default_budget_gives_many_rows(self):
-        assert block_rows(100, None) > 1
+        assert block_rows(100, 100, None) > 1
+
+    def test_capped_by_rows_not_columns(self):
+        assert block_rows(400, 15, None) == 400
+        assert block_rows(0, 15, None) == 1
 
     def test_explicit_budget_too_small_raises(self):
         with pytest.raises(AnalyzerMemoryError):
-            block_rows(1000, 10.0)
+            block_rows(1000, 1000, 10.0)
 
     def test_no_budget_never_raises(self):
-        assert block_rows(10**9, None) == 1
+        assert block_rows(10**9, 10**9, None) == 1
+
+    def test_tight_budget_splits_assignment(self, rng, sq_block_calls):
+        steps, centers = rng.normal(size=(400, 8)), rng.normal(size=(15, 8))
+        budget = 64 * 15 * 24  # 64 rows of 15 columns
+        got = pairwise_sq_distances(steps, centers, memory_budget_bytes=budget)
+        assert sq_block_calls == [64] * 6 + [16]
+        assert np.allclose(got, naive_sq(steps, centers), atol=1e-8)
 
 
 class TestKthNeighbor:
