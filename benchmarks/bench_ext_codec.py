@@ -1,18 +1,14 @@
-"""Extension: binary record codec + streaming analyzer resource wins.
+"""Extension: binary record codec throughput + streaming analyzer exactness.
 
-Three claims, each measured and asserted (docs/performance.md):
+Two claims, each measured and asserted (docs/performance.md):
 
 1. The binary block journal appends AND recovers at >= 3x the JSONL
    journal's throughput. Throughput is normalized to the *JSONL* byte
    volume of the same records (the payload both formats carry), so the
    binary format cannot win by merely writing fewer bytes — it must
    spend less time per record.
-2. The streaming analyzer's peak analysis memory is flat across
-   1x/4x/16x run lengths of a phase-structured workload, while the
-   batch analyzer's grows linearly with the step count (it must
-   materialize the full feature matrix).
-3. The streaming analyzer's exact mode produces labels bit-identical
-   to the batch k-means pipeline on the same records.
+2. The streaming analyzer produces labels bit-identical to the batch
+   k-means pipeline on the same records.
 
 ``--quick`` (the CI codec-smoke guard) runs a smaller matrix with the
 same assertions.
@@ -21,14 +17,13 @@ same assertions.
 import argparse
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from _harness import emit
 from repro.core.analyzer import TPUPointAnalyzer
-from repro.core.analyzer.streaming import StreamingAnalyzer, StreamingConfig
+from repro.core.analyzer.streaming import StreamingAnalyzer
 from repro.core.profiler.journal import RecordJournal, recover_journal
 from repro.core.profiler.record import OperatorStats, ProfileRecord, StepStats
 from repro.runtime.events import DeviceKind, StepKind
@@ -66,7 +61,7 @@ def _journal_record(index: int, steps: int = 8, ops: int = 12) -> ProfileRecord:
     return record
 
 
-def _phased_records(scale: int, phases: int = 4, block: int = 40):
+def _phased_records(phases: int = 4, block: int = 40):
     """Phase-contiguous stream: one step signature per phase."""
     records = []
     number = 0
@@ -74,7 +69,7 @@ def _phased_records(scale: int, phases: int = 4, block: int = 40):
         record = ProfileRecord(
             index=len(records), window_start_us=0.0, window_end_us=1.0
         )
-        for _ in range(block * scale):
+        for _ in range(block):
             step = StepStats(step=number, kind=StepKind.TRAIN)
             step.start_us = number * 100.0
             step.end_us = step.start_us + 95.0
@@ -147,68 +142,8 @@ def run_journal_comparison(records, directory: Path, min_speedup: float) -> list
     return lines
 
 
-def _batch_peak(records) -> int:
-    tracemalloc.start()
-    TPUPointAnalyzer(records).kmeans_phases()
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return peak
-
-
-def _streaming_peak(records) -> tuple[int, int]:
-    """(tracemalloc peak, retained state bytes) of a sketch-mode pass."""
-    tracemalloc.start()
-    analyzer = StreamingAnalyzer(StreamingConfig(mode="sketch"))
-    for record in records:
-        analyzer.fold_record(record)
-    analyzer.finish()
-    analyzer.analyze()
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return peak, analyzer.state_bytes()
-
-
-def run_memory_scaling(scales) -> list[str]:
-    lines = [
-        f"{'scale':>6} {'steps':>7} {'batch peak':>12} "
-        f"{'stream peak':>12} {'stream state':>13}"
-    ]
-    # Warm-up pass: first-call module/cache allocations (~1 MB) would
-    # otherwise mask the batch analyzer's growth at the smallest scale.
-    warmup = _phased_records(scales[0])
-    _batch_peak(warmup)
-    _streaming_peak(warmup)
-    batch_peaks, stream_peaks = {}, {}
-    for scale in scales:
-        records = _phased_records(scale)
-        steps = sum(len(record.steps) for record in records)
-        batch_peaks[scale] = _batch_peak(records)
-        stream_peaks[scale], state = _streaming_peak(records)
-        lines.append(
-            f"{scale:>5}x {steps:>7} {batch_peaks[scale]:>12} "
-            f"{stream_peaks[scale]:>12} {state:>13}"
-        )
-    first, last = scales[0], scales[-1]
-    length_ratio = last / first
-    batch_growth = batch_peaks[last] / batch_peaks[first]
-    stream_growth = stream_peaks[last] / stream_peaks[first]
-    lines.append(
-        f"peak growth over {length_ratio:.0f}x longer runs: "
-        f"batch {batch_growth:.1f}x, streaming {stream_growth:.2f}x"
-    )
-    assert stream_growth < 2.0, (
-        f"streaming peak grew {stream_growth:.1f}x over {length_ratio:.0f}x "
-        "longer runs; the state is supposed to be flat"
-    )
-    assert batch_growth > stream_growth * 2.0, (
-        f"batch peak grew only {batch_growth:.1f}x vs streaming "
-        f"{stream_growth:.2f}x — the separation collapsed"
-    )
-    return lines
-
-
-def run_exactness(scale: int) -> list[str]:
-    records = _phased_records(scale)
+def run_exactness() -> list[str]:
+    records = _phased_records()
     batch = TPUPointAnalyzer(records).kmeans_phases()
     streaming = StreamingAnalyzer()
     for record in records:
@@ -216,10 +151,10 @@ def run_exactness(scale: int) -> list[str]:
     streaming.finish()
     analysis = streaming.analyze()
     assert np.array_equal(analysis.labels, batch.labels), (
-        "exact-mode streaming labels diverged from batch"
+        "streaming labels diverged from batch"
     )
     return [
-        f"exact mode       : labels bit-identical to batch "
+        f"streaming        : labels bit-identical to batch "
         f"(k={analysis.params['k']}, {len(analysis.labels)} steps)"
     ]
 
@@ -240,12 +175,10 @@ def main(argv=None) -> int:
         directory.mkdir(parents=True, exist_ok=True)
 
     num_records = 80 if args.quick else 400
-    scales = (1, 4) if args.quick else (1, 4, 16)
     records = [_journal_record(i) for i in range(num_records)]
 
     lines = run_journal_comparison(records, directory, min_speedup=3.0)
-    lines += run_memory_scaling(scales)
-    lines += run_exactness(scales[0])
+    lines += run_exactness()
     emit(
         "ext_codec",
         "binary record codec + streaming analyzer"

@@ -826,8 +826,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     for job in result.jobs:
         analysis = result.service.phase_analysis(job.job_id)
         boundaries = ", ".join(
-            f"[{b.start_position}..{b.end_position}]#{b.phase_id}"
-            for b in analysis.boundaries
+            f"[{start}..{end}]#{phase}" for start, end, phase in analysis.label_runs()
         )
         print(f"{job.job_id}: {analysis.num_phases} phases over "
               f"{len(analysis.labels)} steps ({analysis.method}, "

@@ -53,14 +53,7 @@ from repro.core.analyzer.operators import (
 )
 from repro.core.analyzer.pca import PCA
 from repro.core.analyzer.phases import Phase, build_phases, longest_phase
-from repro.core.analyzer.streaming import (
-    MiniBatchKMeans,
-    PhaseBoundary,
-    StreamingAnalysis,
-    StreamingAnalyzer,
-    StreamingConfig,
-    StreamingPhase,
-)
+from repro.core.analyzer.streaming import StreamingAnalyzer
 from repro.core.analyzer.visualize import chrome_trace, write_chrome_trace
 
 __all__ = [
@@ -74,17 +67,12 @@ __all__ = [
     "DbscanResult",
     "FeatureMatrix",
     "KMeansResult",
-    "MiniBatchKMeans",
     "NeighborGraph",
     "OnlineLinearScan",
     "PCA",
     "Phase",
-    "PhaseBoundary",
     "PhaseCheckpoint",
-    "StreamingAnalysis",
     "StreamingAnalyzer",
-    "StreamingConfig",
-    "StreamingPhase",
     "TPUPointAnalyzer",
     "TopOperatorRow",
     "appearance_totals",

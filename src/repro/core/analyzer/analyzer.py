@@ -105,6 +105,21 @@ class AnalysisResult:
             matrix[index[int(current)], index[int(nxt)]] += 1
         return phase_ids, matrix
 
+    def label_runs(self) -> list[tuple[int, int, int]]:
+        """Maximal stretches of equal labels as ``(start, end, label)``.
+
+        Positions are 0-based and inclusive, in timeline order, so the
+        runs tile ``0..len(labels) - 1``. ``tpupoint fleet`` prints them
+        as each job's phase boundaries.
+        """
+        runs: list[tuple[int, int, int]] = []
+        for position, label in enumerate(self.labels.tolist()):
+            if runs and runs[-1][2] == label:
+                runs[-1] = (runs[-1][0], position, label)
+            else:
+                runs.append((position, position, int(label)))
+        return runs
+
     def recurrence_fraction(self) -> float:
         """Fraction of transitions that *re-enter* a previously seen phase.
 
@@ -153,8 +168,22 @@ class TPUPointAnalyzer:
     _graph: NeighborGraph | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.records:
+        if not self.records and self._steps is None:
             raise AnalyzerError("analyzer needs at least one profile record")
+
+    @classmethod
+    def from_steps(cls, steps: list[StepStats]) -> TPUPointAnalyzer:
+        """An analyzer over steps already assembled from records.
+
+        The live path: a :class:`~repro.core.profiler.streaming.StepStream`
+        merges a step split across records as :func:`merge_records`
+        does, so the phases equal those of the records the steps came
+        from. Without records, :meth:`export`'s trace has phases but no
+        profile windows.
+        """
+        if not steps:
+            raise AnalyzerError("analyzer needs at least one step")
+        return cls(records=[], _steps=list(steps))
 
     # --- shared stage 1: aggregation and features ---------------------------
 

@@ -3,10 +3,10 @@
 Folds completed steps into the online linear scan as records arrive and
 maintains running phase tables, operator totals, and idle/MXU aggregates
 — the live counterpart of :class:`~repro.core.analyzer.analyzer.TPUPointAnalyzer`.
-The same statistical-summary discipline as the paper's recorder applies:
-raw :class:`StepStats` are folded into per-phase accumulators and
-discarded, so a job's live state is O(phases x operator vocabulary)
-regardless of run length, and queries read the accumulators directly.
+The OLS phase tables are per-phase accumulators that snapshot queries
+read directly. The k-means phase query runs the batch analyzer, so the
+job also keeps every released :class:`StepStats`: a job's live state
+grows with its step count.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.analyzer.analyzer import AnalysisResult
 from repro.core.analyzer.distance import pairwise_distances
 from repro.core.analyzer.ols import DEFAULT_SIMILARITY_THRESHOLD, OnlineLinearScan
-from repro.core.analyzer.streaming import StreamingAnalysis, StreamingAnalyzer
+from repro.core.analyzer.streaming import StreamingAnalyzer
 from repro.core.profiler.record import OperatorStats, ProfileRecord, StepStats
 from repro.core.profiler.streaming import StepStream
 from repro.errors import ServeError
@@ -99,11 +100,9 @@ class LiveJobAnalysis:
     total_duration_us: float = 0.0
     tpu_idle_us: float = 0.0
     mxu_flops: float = 0.0
-    _step_numbers: list[int] = field(default_factory=list)
-    #: The streaming clustering analyzer riding alongside the online
-    #: linear scan: every folded step also feeds its signature table and
-    #: mini-batch centroids, so :meth:`phase_analysis` can answer a
-    #: *full* PCA'd cluster analysis mid-run, not just OLS labels.
+    #: Holds every released step, in step order, beside the online linear
+    #: scan: :meth:`phase_analysis` runs the batch k-means pipeline over
+    #: them mid-run, not just OLS labels.
     streaming: StreamingAnalyzer = field(default_factory=StreamingAnalyzer)
     finished: bool = False
     #: Invoked with each step the moment it is attributed to a phase.
@@ -126,7 +125,6 @@ class LiveJobAnalysis:
         for step in self._stream.submit(record):
             self._fold(step)
             folded += 1
-        self.streaming.end_window()
         return folded
 
     def finish(self) -> int:
@@ -137,7 +135,6 @@ class LiveJobAnalysis:
         for step in self._stream.flush():
             self._fold(step)
             folded += 1
-        self.streaming.end_window()
         self.finished = True
         return folded
 
@@ -153,7 +150,6 @@ class LiveJobAnalysis:
         self.total_duration_us += step.elapsed_us
         self.tpu_idle_us += step.tpu_idle_us
         self.mxu_flops += step.mxu_flops
-        self._step_numbers.append(step.step)
         if self.on_step is not None:
             self.on_step(step)
 
@@ -176,7 +172,8 @@ class LiveJobAnalysis:
     @property
     def phase_labels(self) -> dict[int, int]:
         """Step number -> phase label for every folded step."""
-        return dict(zip(self._step_numbers, self._scanner.labels))
+        numbers = (step.step for step in self.streaming.steps)
+        return dict(zip(numbers, self._scanner.labels))
 
     @property
     def idle_fraction(self) -> float:
@@ -206,15 +203,11 @@ class LiveJobAnalysis:
         """Phases ordered by descending accumulated duration."""
         return sorted(self.phases.values(), key=lambda phase: -phase.duration_us)
 
-    def phase_analysis(self) -> StreamingAnalysis:
-        """A full streaming phase analysis of everything folded so far.
+    def phase_analysis(self) -> AnalysisResult:
+        """``TPUPointAnalyzer.kmeans_phases()`` over every step folded so far.
 
-        PCA'd cluster labels, per-phase tables, and phase boundaries —
-        the live counterpart of ``TPUPointAnalyzer.kmeans_phases()``;
-        under the streaming analyzer's default (exact) mode the labels
-        are bit-identical to what the batch analyzer would produce over
-        the same released steps. Non-destructive: folding continues
-        afterwards and a later call reflects the longer run.
+        Non-destructive: folding continues afterwards and a later call
+        reflects the longer run.
         """
         return self.streaming.analyze()
 

@@ -18,8 +18,8 @@ from functools import partial
 from typing import Callable, Sequence
 
 from repro import obs
+from repro.core.analyzer.analyzer import AnalysisResult
 from repro.core.analyzer.ols import DEFAULT_SIMILARITY_THRESHOLD
-from repro.core.analyzer.streaming import StreamingAnalysis
 from repro.core.optimizer.knowledge import TuningKnowledgeBase
 from repro.core.optimizer.surrogate import TrainingPair, dedup_pairs
 from repro.core.profiler import codec
@@ -529,15 +529,13 @@ class FleetService:
             span.set(phases=analysis.num_phases, pairs=len(pairs))
             return pairs
 
-    def phase_analysis(self, job_id: str) -> StreamingAnalysis:
-        """A full streaming phase analysis of one live (or completed) job.
+    def phase_analysis(self, job_id: str) -> AnalysisResult:
+        """k-means phases of one live (or completed) job, answered mid-run.
 
-        PCA'd cluster labels, phase boundaries, and per-phase tables
-        over every step folded so far — answered mid-run from the
-        per-job streaming analyzer, without materializing the batch
-        feature matrix. In the default (exact) streaming mode the
-        labels are bit-identical to running the offline
-        ``TPUPointAnalyzer.kmeans_phases()`` over the same steps.
+        Runs ``TPUPointAnalyzer.kmeans_phases()`` over every step the
+        job has released so far, so the labels are the batch analyzer's.
+        The query builds the full feature matrix; its cost grows with
+        the job's step count.
         """
         with obs.trace("serve.phase_analysis", job=job_id) as span, \
                 self.metrics.time_query():

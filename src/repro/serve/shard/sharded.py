@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro import obs
-from repro.core.analyzer.streaming import StreamingAnalysis
+from repro.core.analyzer.analyzer import AnalysisResult
 from repro.core.optimizer.knowledge import TuningKnowledgeBase
 from repro.core.profiler import codec
 from repro.core.profiler.record import ProfileRecord
@@ -470,8 +470,8 @@ class ShardedFleet:
             job_id, threshold
         )
 
-    def phase_analysis(self, job_id: str) -> StreamingAnalysis:
-        """One tenant's full streaming phase analysis (owning shard)."""
+    def phase_analysis(self, job_id: str) -> AnalysisResult:
+        """One tenant's k-means phases (owning shard)."""
         return self.shards[self._entry(job_id).shard].phase_analysis(job_id)
 
     def tuning_priors(

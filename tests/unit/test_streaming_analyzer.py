@@ -1,14 +1,10 @@
-"""Streaming phase analysis: online PCA + mini-batch k-means + serve wiring."""
+"""Live phase analysis: released steps, the batch k-means call, serve wiring."""
 
 import numpy as np
 import pytest
 
 from repro.core.analyzer import TPUPointAnalyzer
-from repro.core.analyzer.streaming import (
-    MiniBatchKMeans,
-    StreamingAnalyzer,
-    StreamingConfig,
-)
+from repro.core.analyzer.streaming import StreamingAnalyzer
 from repro.core.profiler.record import ProfileRecord, StepStats
 from repro.core.profiler.serialize import record_checksum
 from repro.errors import AnalyzerError
@@ -17,7 +13,6 @@ from repro.runtime.events import DeviceKind, StepKind
 from repro.serve import (
     FleetService,
     FleetServiceOptions,
-    LiveJobAnalysis,
     ShardedFleet,
     ShardedFleetOptions,
 )
@@ -47,14 +42,15 @@ _PHASE_OPS = (
     ["conv", "pool", "softmax"],
     ["save", "embed", "gather"],
 )
+_CYCLE_OPS = _PHASE_OPS + (["matmul", "conv", "send"],)
 
 
-def _phased_records(block=8, phases=3, steps_per_record=4, scale=1):
-    """Phase-contiguous stream: ``phases`` blocks of ``block * scale`` steps."""
+def _phased_records(block=8, phases=3, steps_per_record=4):
+    """Phase-contiguous stream: ``phases`` blocks of ``block`` steps."""
     steps = []
     number = 0
     for phase in range(phases):
-        for _ in range(block * scale):
+        for _ in range(block):
             steps.append(_step(number, _PHASE_OPS[phase % len(_PHASE_OPS)]))
             number += 1
     return [
@@ -70,71 +66,25 @@ def _fold_all(analyzer, records):
     return analyzer
 
 
-def _same_partition(left, right):
-    """Label sequences equal up to a renaming of the label alphabet."""
-    mapping = {}
-    for a, b in zip(left.tolist(), right.tolist()):
-        if mapping.setdefault(a, b) != b:
-            return False
-    return len(set(mapping.values())) == len(mapping)
+def _cycled_records(cycles, jitter=False):
+    """Four behaviours in turn; ``jitter`` gives every step its own durations."""
+    steps = []
+    for number in range(4 * cycles):
+        step = _step(number, _CYCLE_OPS[number % 4])
+        if jitter:
+            for stats in step.operators.values():
+                stats.total_duration_us += number * 0.25
+        steps.append(step)
+    return [_record(i, steps[i * 3 : (i + 1) * 3]) for i in range((len(steps) + 2) // 3)]
 
 
 class TestStreamingConfig:
-    def test_validation(self):
-        with pytest.raises(AnalyzerError):
-            StreamingConfig(mode="batch")
-        with pytest.raises(AnalyzerError):
-            StreamingConfig(max_pca_dims=0)
-        with pytest.raises(AnalyzerError):
-            StreamingConfig(k=0)
-        with pytest.raises(AnalyzerError):
-            StreamingConfig(minibatch_clusters=-1)
-
     def test_empty_analyzer_refuses_analysis(self):
         with pytest.raises(AnalyzerError):
             StreamingAnalyzer().analyze()
 
 
-class TestMiniBatchKMeans:
-    def test_deterministic_across_replays(self):
-        rows = np.arange(24, dtype=float).reshape(8, 3) % 5
-        first, second = MiniBatchKMeans(k=3), MiniBatchKMeans(k=3)
-        for clusterer in (first, second):
-            clusterer.fold(rows[:4])
-            clusterer.fold(rows[4:])
-        assert np.array_equal(first.assign(rows), second.assign(rows))
-        assert first.num_centers == second.num_centers
-
-    def test_centers_pad_as_vocabulary_grows(self):
-        clusterer = MiniBatchKMeans(k=4)
-        clusterer.fold(np.ones((2, 2)))
-        clusterer.fold(np.ones((2, 5)))  # vocabulary grew mid-stream
-        labels = clusterer.assign(np.ones((3, 5)))
-        assert labels.shape == (3,)
-        assert clusterer.state_bytes() > 0
-
-    def test_invalid_k_rejected(self):
-        with pytest.raises(AnalyzerError):
-            MiniBatchKMeans(k=0)
-
-
 class TestExactEquivalence:
-    def test_labels_bit_identical_to_batch(self):
-        records = _phased_records()
-        batch = TPUPointAnalyzer(records).kmeans_phases()
-        streaming = _fold_all(StreamingAnalyzer(), records).analyze()
-        assert np.array_equal(streaming.labels, batch.labels)
-        assert streaming.params["k"] == batch.params["k"]
-        assert streaming.method == "kmeans-streaming-exact"
-
-    def test_explicit_k_matches_batch(self):
-        records = _phased_records()
-        batch = TPUPointAnalyzer(records).kmeans_phases(k=2)
-        streaming = _fold_all(
-            StreamingAnalyzer(StreamingConfig(k=2)), records
-        ).analyze()
-        assert np.array_equal(streaming.labels, batch.labels)
-
     def test_analysis_is_non_destructive(self):
         records = _phased_records()
         analyzer = _fold_all(StreamingAnalyzer(), records)
@@ -151,71 +101,31 @@ class TestExactEquivalence:
         analysis = _fold_all(StreamingAnalyzer(), records).analyze()
         total = analysis.labels.shape[0]
         assert sum(phase.num_steps for phase in analysis.phases) == total
-        assert analysis.boundaries[0].start_position == 0
-        assert analysis.boundaries[-1].end_position == total - 1
         position = 0
-        for boundary in analysis.boundaries:
-            assert boundary.start_position == position
-            labels = analysis.labels[
-                boundary.start_position : boundary.end_position + 1
-            ]
-            assert set(labels.tolist()) == {boundary.phase_id}
-            position = boundary.end_position + 1
+        for start, end, phase_id in analysis.label_runs():
+            assert start == position
+            assert set(analysis.labels[start : end + 1].tolist()) == {phase_id}
+            position = end + 1
+        assert position == total
         # phase tables carry the operator attribution
         top = analysis.phases[0].top_operators(3, DeviceKind.TPU)
         assert top and all(stats.device is DeviceKind.TPU for stats in top)
 
 
-class TestSketchMode:
-    def test_deterministic(self):
-        records = _phased_records()
-        config = StreamingConfig(mode="sketch")
-        first = _fold_all(StreamingAnalyzer(config), records).analyze()
-        second = _fold_all(StreamingAnalyzer(config), records).analyze()
-        assert np.array_equal(first.labels, second.labels)
-        assert first.params == second.params
+class TestSignatures:
+    def test_signatures_count_repeated_behaviours_once(self):
+        analyzer = _fold_all(StreamingAnalyzer(), _cycled_records(cycles=5))
+        assert analyzer.steps_folded == 20
+        assert analyzer.num_signatures == 4
 
-    def test_explicit_k_partition_matches_batch(self):
-        records = _phased_records()
-        batch = TPUPointAnalyzer(records).kmeans_phases(k=3)
-        sketch = _fold_all(
-            StreamingAnalyzer(StreamingConfig(mode="sketch", k=3)), records
-        ).analyze()
-        assert _same_partition(sketch.labels, batch.labels)
-        assert sketch.method == "kmeans-streaming-sketch"
-
-
-class TestStateFlatness:
-    def test_state_is_flat_across_run_lengths(self):
-        """4x the steps of the same phases => identical retained state."""
-        small = _fold_all(StreamingAnalyzer(), _phased_records(scale=1))
-        large = _fold_all(StreamingAnalyzer(), _phased_records(scale=4))
-        assert large.steps_folded == 4 * small.steps_folded
-        assert large.num_signatures == small.num_signatures
-        assert large.num_runs == small.num_runs
-        # The signature table, moments, and runs are byte-identical; only
-        # the (k-bounded) mini-batch centroid set may differ, so the
-        # total stays far below linear growth.
-        assert large.state_bytes() < 1.5 * small.state_bytes()
-
-    def test_provisional_labels_cover_every_step(self):
-        analyzer = _fold_all(StreamingAnalyzer(), _phased_records())
-        labels = analyzer.provisional_labels()
-        assert labels.shape[0] == analyzer.steps_folded
+    def test_jittered_steps_are_all_distinct(self):
+        analyzer = _fold_all(
+            StreamingAnalyzer(), _cycled_records(cycles=5, jitter=True)
+        )
+        assert analyzer.num_signatures == analyzer.steps_folded == 20
 
 
 class TestServeWiring:
-    def test_live_job_answers_full_phase_analysis(self):
-        live = LiveJobAnalysis()
-        records = _phased_records()
-        for record in records:
-            live.ingest(record)
-        live.finish()
-        analysis = live.phase_analysis()
-        batch = TPUPointAnalyzer(records).kmeans_phases()
-        assert np.array_equal(analysis.labels, batch.labels)
-        assert analysis.num_phases == batch.num_phases
-
     def test_service_phase_analysis_query(self):
         service = FleetService()
         service.register("bert-mrpc", job_id="t0")
@@ -283,6 +193,25 @@ class TestServeWiring:
             service.phase_analysis("t0").labels,
             TPUPointAnalyzer(records).kmeans_phases().labels,
         )
+
+    def test_phase_analysis_after_resize_matches_batch(self):
+        records = _phased_records()
+        fleet = ShardedFleet(ShardedFleetOptions(shards=2))
+        fleet.register("bert-mrpc", job_id="t0")
+        half = len(records) // 2
+        for record in records[:half]:
+            fleet.submit("t0", record, checksum=record_checksum(record))
+        fleet.pump()
+        fleet.resize(3)
+        for record in records[half:]:
+            fleet.submit("t0", record, checksum=record_checksum(record))
+        fleet.pump()
+        fleet.complete("t0")
+        assert np.array_equal(
+            fleet.phase_analysis("t0").labels,
+            TPUPointAnalyzer(records).kmeans_phases().labels,
+        )
+        fleet.close()
 
     def test_sharded_phase_analysis_matches_single_service(self):
         records = _phased_records()

@@ -1,4 +1,4 @@
-"""Phase transition matrices and bucket-quota failure injection."""
+"""Phase transition matrices, label runs, and bucket-quota failure injection."""
 
 import numpy as np
 import pytest
@@ -63,6 +63,24 @@ class TestTransitionMatrix:
         phase_ids, matrix = result.transition_matrix()
         assert matrix.sum() == len(result.labels) - 1
         assert len(phase_ids) == len(set(result.labels.tolist()))
+
+
+class TestLabelRuns:
+    def test_runs_tile_the_labels_as_fleet_boundaries(self):
+        """Runs cover 0..n-1 and print as ``tpupoint fleet``'s boundary text."""
+        text = (
+            "[0..0]#2, [1..100]#0, [101..104]#1, [105..204]#0, "
+            "[205..208]#1, [209..308]#0, [309..309]#2"
+        )
+        labels = []
+        for run in text.split(", "):
+            span, phase = run.split("#")
+            start, end = span.strip("[]").split("..")
+            labels += [int(phase)] * (int(end) - int(start) + 1)
+        runs = _result(labels).label_runs()
+        covered = [label for start, end, label in runs for _ in range(start, end + 1)]
+        assert covered == labels
+        assert ", ".join(f"[{a}..{b}]#{phase}" for a, b, phase in runs) == text
 
 
 class TestBucketQuota:
