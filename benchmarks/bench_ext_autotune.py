@@ -8,9 +8,9 @@ Three claims, each measured and asserted (docs/tuning.md):
    measures that same configuration on its *first* trial — strictly
    fewer trials-to-best-known, and less end-to-end simulated time to
    reach it.
-2. **Worker count never changes results.** Annealing and racing replay
-   the identical trial sequence (keys, configs, measurements) at 1, 2,
-   and 4 workers.
+2. **Reruns replay exactly.** Three annealing runs, and three racing
+   runs, at the same seed give the identical trial sequence (keys,
+   configs, steps, simulated elapsed time).
 3. **The knowledge base round-trips.** The entry recorded by the cold
    search is found again by a fresh ``TuningKnowledgeBase.open`` at
    similarity 1.0.
@@ -28,7 +28,7 @@ from repro import PipelineConfig, WorkloadSpec, build_estimator
 from repro.core.optimizer import AutotuneOptions, TuningKnowledgeBase, autotune
 
 _WORKLOAD = "naive-dcgan-mnist"
-_WORKER_WIDTHS = (1, 2, 4)
+_RUNS = 3
 
 
 def _factory(spec: WorkloadSpec):
@@ -127,24 +127,22 @@ def run_determinism(quick: bool) -> list[str]:
         "annealing": {"rounds": 2 if quick else 4, "batch": 3, "trial_steps": 3},
         "racing": {"population": 4, "trial_steps": 3},
     }
-    lines = ["worker-count invariance (trial keys, configs, measurements)"]
+    lines = ["rerun determinism (trial keys, configs, steps, elapsed)"]
     for strategy, strategy_options in matrix.items():
+        options = AutotuneOptions(strategy=strategy, detection_steps=20)
         observed = []
-        for workers in _WORKER_WIDTHS:
-            options = AutotuneOptions(
-                strategy=strategy, workers=workers, detection_steps=20
-            )
+        for _ in range(_RUNS):
             result = autotune(
                 factory, initial, options, strategy_options=strategy_options
             )
             observed.append(
                 [(t.key, t.config, t.steps, t.elapsed_us) for t in result.trials]
             )
-        assert observed[0] == observed[1] == observed[2], (
-            f"{strategy} trials differ across worker counts"
+        assert all(run == observed[0] for run in observed), (
+            f"{strategy} trials differ between runs at the same seed"
         )
         lines.append(
-            f"  {strategy:10s}: workers {_WORKER_WIDTHS} -> "
+            f"  {strategy:10s}: {_RUNS} runs at seed {options.seed} -> "
             f"{len(observed[0])} identical trials"
         )
     return lines

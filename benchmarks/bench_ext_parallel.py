@@ -1,22 +1,14 @@
-"""Extension: the parallel analyzer engine's shared-work wins.
+"""Extension: the DBSCAN sweep shares one neighbor graph.
 
-Three claims, each measured and asserted (docs/performance.md):
+One claim, measured and asserted (docs/performance.md): the DBSCAN
+min_samples sweep spends exactly ONE distance pass — the neighbor graph
+(and the k-distance eps) are computed in a single blocked traversal and
+every sweep point is a cheap relabeling. The baseline (one eps pass
+plus one graph build per sweep value) is re-run here for comparison and
+must be at least 3x slower, with byte-identical labels.
 
-1. The DBSCAN min_samples sweep spends exactly ONE distance pass — the
-   neighbor graph (and the k-distance eps) are computed in a single
-   blocked traversal and every sweep point is a cheap relabeling. The
-   baseline (the pre-engine behaviour: one eps pass plus one graph
-   build per sweep value) is re-run here for comparison and must be at
-   least 3x slower at one worker, with byte-identical labels.
-2. The k-means (k x restart) grid fans out over the deterministic
-   worker pool with bit-identical labels and inertia at every width.
-   On multi-core hosts the wall-time falls with width; this bench
-   asserts only the identity and reports the measured scaling.
-3. The memo cache turns a repeated sweep into a table lookup.
-
-``--quick`` (the CI perf-smoke guard) runs a smaller matrix and only
-the correctness assertions — most importantly that the sweep's
-distance-pass counter reads exactly 1.
+``--quick`` runs a smaller matrix and only the correctness assertions —
+most importantly that the sweep's distance-pass counter reads exactly 1.
 """
 
 import argparse
@@ -32,11 +24,8 @@ from repro.core.analyzer.dbscan import (
     sweep_min_samples,
 )
 from repro.core.analyzer.distance import distance_passes, reset_pass_counter
-from repro.core.analyzer.kmeans import sweep_k
-from repro.parallel import WorkerPool
 
 _SEED = 20260805
-_WORKER_WIDTHS = (1, 2, 4, 8)
 _FULL_STEPS, _FULL_DIMS = 700, 12
 _QUICK_STEPS, _QUICK_DIMS = 160, 6
 
@@ -56,7 +45,7 @@ def _step_matrix(n: int, dims: int) -> np.ndarray:
 
 
 def _dbscan_baseline(matrix: np.ndarray, values: list[int]) -> dict:
-    """The pre-engine sweep: eps once, then one graph build per value."""
+    """The per-value sweep: eps once, then one graph build per value."""
     eps = default_eps(matrix)
     return {ms: dbscan(matrix, eps, ms) for ms in values}
 
@@ -98,82 +87,22 @@ def run_dbscan_comparison(matrix: np.ndarray, min_speedup: float | None) -> list
         f"{baseline_passes} distance passes",
         f"  shared neighbor graph     : {shared_seconds * 1e3:8.1f} ms, "
         f"{shared_passes} distance pass",
-        f"  speedup at 1 worker       : {speedup:8.2f}x  (labels identical)",
-    ]
-
-
-def run_kmeans_scaling(matrix: np.ndarray) -> list[str]:
-    k_values = range(1, 9)
-    reference = None
-    lines = [f"kmeans sweep (k = 1..8, 4 restarts each, seed {_SEED % 100})"]
-    serial_seconds = None
-    for width in _WORKER_WIDTHS:
-        with WorkerPool(width) as pool:
-            began = time.perf_counter()
-            results = sweep_k(matrix, k_values, seed=_SEED % 100, pool=pool)
-            elapsed = time.perf_counter() - began
-        if reference is None:
-            reference = results
-            serial_seconds = elapsed
-        else:
-            for k in reference:
-                assert np.array_equal(reference[k].labels, results[k].labels)
-                assert reference[k].inertia == results[k].inertia
-        lines.append(
-            f"  workers={width}: {elapsed * 1e3:8.1f} ms  "
-            f"(x{serial_seconds / elapsed:4.2f} vs serial, results identical)"
-        )
-    return lines
-
-
-def run_cache_comparison(matrix: np.ndarray) -> list[str]:
-    from repro.core.analyzer.cache import AnalysisCache, matrix_key
-
-    cache = AnalysisCache()
-    key = matrix_key(matrix, "kmeans_sweep", seed=_SEED % 100, k_values=list(range(1, 9)))
-
-    began = time.perf_counter()
-    cold = {k: r.inertia for k, r in sweep_k(matrix, range(1, 9), seed=_SEED % 100).items()}
-    cold_seconds = time.perf_counter() - began
-    cache.put_table(key, {str(k): v for k, v in cold.items()})
-
-    began = time.perf_counter()
-    warm = cache.get_table(key)
-    warm_seconds = time.perf_counter() - began
-    assert {int(k): v for k, v in warm.items()} == cold
-    return [
-        "memo cache (kmeans sweep table)",
-        f"  cold sweep : {cold_seconds * 1e3:8.1f} ms",
-        f"  cache hit  : {warm_seconds * 1e3:8.3f} ms "
-        f"(x{cold_seconds / max(warm_seconds, 1e-9):.0f})",
+        f"  speedup                   : {speedup:8.2f}x  (labels identical)",
     ]
 
 
 def run_quick() -> list[str]:
-    """The CI perf-smoke guard: correctness only, small matrix."""
+    """Correctness only, small matrix: the one-pass guard and labels."""
     matrix = _step_matrix(_QUICK_STEPS, _QUICK_DIMS)
-    lines = run_dbscan_comparison(matrix, min_speedup=None)
-
-    with WorkerPool(2) as pool:
-        parallel = sweep_k(matrix, range(1, 5), seed=_SEED % 100, pool=pool)
-    serial = sweep_k(matrix, range(1, 5), seed=_SEED % 100)
-    for k in serial:
-        assert np.array_equal(serial[k].labels, parallel[k].labels)
-        assert serial[k].inertia == parallel[k].inertia
-    lines.append("kmeans workers=2 identical to serial: ok")
-    lines.append("perf-smoke: distance-pass guard holds (sweep == 1 pass)")
-    return lines
+    return run_dbscan_comparison(matrix, min_speedup=None)
 
 
 def run_full() -> list[str]:
     matrix = _step_matrix(_FULL_STEPS, _FULL_DIMS)
-    lines = run_dbscan_comparison(matrix, min_speedup=3.0)
-    lines += run_kmeans_scaling(matrix)
-    lines += run_cache_comparison(matrix)
-    return lines
+    return run_dbscan_comparison(matrix, min_speedup=3.0)
 
 
-def test_ext_parallel_engine(benchmark):
+def test_ext_shared_graph(benchmark):
     from _harness import emit, once
 
     lines: list[str] = []
@@ -184,7 +113,7 @@ def test_ext_parallel_engine(benchmark):
     once(benchmark, run_all)
     emit(
         "ext_parallel",
-        "Extension: parallel analyzer engine (shared kernels + worker pool)",
+        "Extension: shared DBSCAN neighbor graph (one distance pass per sweep)",
         lines,
     )
 
@@ -194,10 +123,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="correctness-only smoke run (the CI distance-pass guard)",
+        help="correctness-only smoke run (distance-pass guard, identical labels)",
     )
     args = parser.parse_args(argv)
-    title = "Extension: parallel analyzer engine (shared kernels + worker pool)"
+    title = "Extension: shared DBSCAN neighbor graph (one distance pass per sweep)"
     if args.quick:
         lines = run_quick()
         print("\n".join([f"== {title} (quick) =="] + lines))

@@ -17,8 +17,7 @@ Subcommands mirror the toolchain:
   search (``--strategy hill-climb|annealing|racing|surrogate``),
   optionally warm-started from a phase-keyed knowledge base
   (``--knowledge-dir``; a read-only directory degrades to a loud
-  no-persist warning) and parallelized across ``--workers`` without
-  changing results. ``--strategy surrogate`` ranks candidates with a
+  no-persist warning). ``--strategy surrogate`` ranks candidates with a
   learned performance model trained from the knowledge base plus
   ``--surrogate-corpus`` and measures only the predicted frontier;
   ``--surrogate-out`` dumps the fitted model JSON.
@@ -114,10 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="on-disk encoding for --journal and --save-records "
         "(binary: columnar CRC-checked blocks; json: legacy JSONL/JSON)",
     )
-    profile.add_argument(
-        "--workers", type=int, default=1,
-        help="analyzer worker threads for the clustering sweeps (default 1)",
-    )
     _add_obs_flags(profile)
 
     analyze = subparsers.add_parser(
@@ -141,14 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="OLS step-similarity threshold in [0, 1] (default 0.70)",
     )
     analyze.add_argument("--out", default=None, help="directory for trace/CSV exports")
-    analyze.add_argument(
-        "--workers", type=int, default=1,
-        help="analyzer worker threads for the clustering sweeps (default 1)",
-    )
-    analyze.add_argument(
-        "--cache-dir", default=None,
-        help="memo-cache directory; repeated analyses skip completed stages",
-    )
     _add_obs_flags(analyze)
 
     report = subparsers.add_parser(
@@ -204,11 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the fitted surrogate model (weights, training digest, "
         "accuracy counters) as JSON after the search",
-    )
-    tune.add_argument(
-        "--workers", type=int, default=1,
-        help="worker threads measuring candidate configs concurrently "
-        "(results are identical at any width; default 1)",
     )
     tune.add_argument(
         "--trial-steps", type=int, default=None,
@@ -387,14 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fail on mid-journal corruption instead of skipping it",
     )
-    recover.add_argument(
-        "--workers", type=int, default=1,
-        help="analyzer worker threads for the clustering sweeps (default 1)",
-    )
-    recover.add_argument(
-        "--cache-dir", default=None,
-        help="memo-cache directory; a re-run after recovery skips completed stages",
-    )
 
     obs_cmd = subparsers.add_parser(
         "obs",
@@ -552,15 +526,6 @@ def _detector_params(args: argparse.Namespace) -> dict:
     return {"threshold": args.threshold}
 
 
-def _analysis_cache(args: argparse.Namespace):
-    """An on-disk memo cache when --cache-dir was given, else None."""
-    if getattr(args, "cache_dir", None) is None:
-        return None
-    from repro.core.analyzer import AnalysisCache
-
-    return AnalysisCache(directory=args.cache_dir)
-
-
 def _cmd_list() -> int:
     print(f"{'key':22s} {'model':12s} {'dataset':10s} {'type':22s} {'size':>12s}")
     for key in PAPER_WORKLOADS:
@@ -629,7 +594,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(f"TPU bill            : ${cost.tpu_dollars:.4f} "
           f"({cost.idle_dollar_fraction:.0%} paid for idle time)")
 
-    analyzer: TPUPointAnalyzer = tpupoint.analyzer(workers=args.workers)
+    analyzer: TPUPointAnalyzer = tpupoint.analyzer()
     result = analyzer.analyze(args.method, **detector_params)
     report = result.coverage()
     print(f"\nphases ({args.method}, params {result.params}): {result.num_phases}")
@@ -650,7 +615,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         paths = analyzer.export(args.out, result)
         for kind, path in paths.items():
             print(f"wrote {kind}: {path}")
-    analyzer.close()
     _dump_obs(args)
     return 0
 
@@ -703,7 +667,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             )
     options = AutotuneOptions(
         strategy=args.strategy,
-        workers=args.workers,
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
         workload=spec.key,
         surrogate_kind=args.surrogate_kind,
@@ -1040,9 +1003,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.profiler.serialize import load_records
 
     records = load_records(args.records, format=args.format)
-    analyzer = TPUPointAnalyzer(
-        records, workers=args.workers, cache=_analysis_cache(args)
-    )
+    analyzer = TPUPointAnalyzer(records)
     result = analyzer.analyze(args.method, **_detector_params(args))
     report = result.coverage()
     print(f"records  : {len(records)} ({len(analyzer.steps)} steps)")
@@ -1056,7 +1017,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         paths = analyzer.export(args.out, result)
         for kind, path in paths.items():
             print(f"wrote {kind}: {path}")
-    analyzer.close()
     _dump_obs(args)
     return 0
 
@@ -1083,9 +1043,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if not recovery.records:
         print("no intact records survived; nothing to analyze")
         return 0
-    analyzer = TPUPointAnalyzer(
-        list(recovery.records), workers=args.workers, cache=_analysis_cache(args)
-    )
+    analyzer = TPUPointAnalyzer(list(recovery.records))
     result = analyzer.analyze(args.method, **_detector_params(args))
     print(f"phases ({args.method}, params {result.params}): {result.num_phases}")
     print(f"top-3 phase coverage: {result.coverage().top(3):.1%}")
@@ -1097,7 +1055,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         paths = analyzer.export(args.out, result)
         for kind, path in paths.items():
             print(f"wrote {kind}: {path}")
-    analyzer.close()
     return 0
 
 

@@ -11,7 +11,6 @@ from repro.core.analyzer.checkpoints import (
     associate_checkpoints,
     fast_forward_cost_us,
 )
-from repro.core.analyzer.cache import AnalysisCache, matrix_key
 from repro.core.analyzer.coverage import CoverageReport, coverage
 from repro.core.analyzer.csvexport import write_operator_csv, write_phase_csv
 from repro.core.analyzer.dbscan import (
@@ -60,7 +59,6 @@ __all__ = [
     "DEFAULT_SIMILARITY_THRESHOLD",
     "K_SWEEP",
     "MIN_SAMPLES_SWEEP",
-    "AnalysisCache",
     "AnalysisResult",
     "AnalyzerMemoryError",
     "CoverageReport",
@@ -95,7 +93,6 @@ __all__ = [
     "kmeans",
     "kth_neighbor_distances",
     "longest_phase",
-    "matrix_key",
     "merge_records",
     "ols_labels",
     "pairwise_distances",

@@ -15,14 +15,11 @@ tensor) — reproducing the paper's note that both clustering methods hit
 memory limits on the largest workloads while OLS, which holds only two
 steps of state, never does.
 
-Sweeps share work aggressively (see ``docs/performance.md``): the
-DBSCAN min_samples sweep spends exactly one distance pass and relabels
-a cached neighbor graph per sweep point; the k-means k-sweep and its
-k-means++ restarts fan out over a deterministic
-:class:`repro.parallel.WorkerPool` (``workers=``, bit-identical at any
-width); and a content-hashed :class:`~repro.core.analyzer.cache.AnalysisCache`
-memoizes feature matrix → PCA reduction → sweep results across repeated
-invocations.
+Sweeps share work (see ``docs/performance.md``): the DBSCAN
+min_samples sweep spends exactly one distance pass and relabels a
+cached neighbor graph per sweep point, and every k-means++ restart of
+the k-sweep draws from its own named RNG substream, so the
+elbow-chosen fit is taken from the sweep instead of being refit.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from repro import obs
 from repro.core.analyzer import dbscan as dbscan_mod
 from repro.core.analyzer import kmeans as kmeans_mod
 from repro.core.analyzer import ols as ols_mod
-from repro.core.analyzer.cache import AnalysisCache, matrix_key
 from repro.core.analyzer.coverage import CoverageReport, coverage
 from repro.core.analyzer.csvexport import write_operator_csv, write_phase_csv
 from repro.core.analyzer.distance import NeighborGraph, build_neighbor_graph
@@ -47,7 +43,6 @@ from repro.core.analyzer.phases import Phase, build_phases
 from repro.core.analyzer.visualize import write_chrome_trace
 from repro.core.profiler.record import ProfileRecord, StepStats
 from repro.errors import AnalyzerError, AnalyzerMemoryError
-from repro.parallel import WorkerPool
 
 __all__ = [
     "AnalysisResult",
@@ -149,22 +144,17 @@ class AnalysisResult:
 class TPUPointAnalyzer:
     """Post-execution analysis over one run's profile records.
 
-    ``workers`` widens the sweep fan-out (1 = serial; any width gives
-    bit-identical results); ``cache`` memoizes PCA reductions and sweep
-    series by content hash, in memory and — when constructed with a
-    directory — across processes.
+    The merged steps, feature matrix, PCA reduction and DBSCAN neighbor
+    graph are computed once per instance and shared by every method.
     """
 
     records: list[ProfileRecord]
     max_pca_dims: int = 100
     memory_budget_bytes: float | None = None
     seed: int = 0
-    workers: int = 1
-    cache: AnalysisCache | None = None
     _steps: list[StepStats] | None = field(default=None, repr=False)
     _features: FeatureMatrix | None = field(default=None, repr=False)
     _reduced: np.ndarray | None = field(default=None, repr=False)
-    _pool: WorkerPool | None = field(default=None, repr=False)
     _graph: NeighborGraph | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -206,38 +196,24 @@ class TPUPointAnalyzer:
                 self._features = build_features(self.steps)
         return self._features
 
-    @property
-    def pool(self) -> WorkerPool:
-        """The deterministic executor behind the parallel sweep paths."""
-        if self._pool is None:
-            self._pool = WorkerPool(self.workers, label="analyzer")
-        return self._pool
-
     def close(self) -> None:
-        """Release pool threads (safe to call on a never-used analyzer)."""
-        if self._pool is not None:
-            self._pool.shutdown()
+        """A no-op: the analyzer holds no threads or open files.
+
+        Kept so that callers written against older releases, which had
+        to release a worker pool here, keep working unchanged.
+        """
 
     def reduced_matrix(self) -> np.ndarray:
         """PCA-reduced step vectors (at most ``max_pca_dims`` dims)."""
         if self._reduced is None:
             combined = self.features.combined(standardize=True)
             self._check_memory(combined.nbytes, "k-means feature matrix")
-            key = None
-            if self.cache is not None:
-                key = matrix_key(combined, "pca", max_dims=self.max_pca_dims)
-                cached = self.cache.get_array(key)
-                if cached is not None:
-                    self._reduced = cached
-                    return self._reduced
             with obs.trace(
                 "analyzer.pca", rows=combined.shape[0], dims=combined.shape[1]
             ) as span:
                 pca = PCA(max_components=self.max_pca_dims)
                 self._reduced = pca.fit_transform(combined)
                 span.set(reduced_dims=self._reduced.shape[1])
-            if key is not None:
-                self.cache.put_array(key, self._reduced)
         return self._reduced
 
     def _check_memory(self, required_bytes: float, what: str) -> None:
@@ -252,44 +228,24 @@ class TPUPointAnalyzer:
     def _kmeans_results(
         self, k_values: range | list[int]
     ) -> dict[int, kmeans_mod.KMeansResult]:
-        """Instrumented k sweep: the (k x restart) grid over the pool.
+        """Instrumented k sweep: one seeded best-of-restarts fit per k.
 
-        Every fit draws from its own seed-derived substream
-        (:func:`repro.core.analyzer.kmeans.restart_key`), so the result
-        is bit-identical at any ``workers`` width.
+        Every restart draws from its own seed-derived substream
+        (:func:`repro.core.analyzer.kmeans.restart_key`), so the fit at
+        each k equals a separate seeded :func:`~repro.core.analyzer.kmeans.kmeans`
+        at that k.
         """
         matrix = self.reduced_matrix()
         began = time.perf_counter()
-        with obs.trace(
-            "analyzer.kmeans_sweep", steps=matrix.shape[0], workers=self.pool.workers
-        ) as span:
-            results = kmeans_mod.sweep_k(matrix, k_values, seed=self.seed, pool=self.pool)
+        with obs.trace("analyzer.kmeans_sweep", steps=matrix.shape[0]) as span:
+            results = kmeans_mod.sweep_k(matrix, k_values, seed=self.seed)
             span.set(k_count=len(results))
         _SWEEP_SECONDS.labels(algorithm="kmeans").observe(time.perf_counter() - began)
         return results
 
-    def _sweep(self, k_values: range | list[int]) -> tuple[dict[int, float], dict | None]:
-        """SSD per k, memoized, plus the sweep's fits when it ran (None on a hit)."""
-        key = None
-        if self.cache is not None:
-            key = matrix_key(
-                self.reduced_matrix(),
-                "kmeans_sweep",
-                seed=self.seed,
-                k_values=list(k_values),
-            )
-            cached = self.cache.get_table(key)
-            if cached is not None:
-                return {int(k): float(v) for k, v in cached.items()}, None
-        results = self._kmeans_results(k_values)
-        sweep = {k: result.inertia for k, result in results.items()}
-        if key is not None:
-            self.cache.put_table(key, {str(k): v for k, v in sweep.items()})
-        return sweep, results
-
     def kmeans_sweep(self, k_values: range | list[int] = kmeans_mod.K_SWEEP) -> dict[int, float]:
-        """SSD per k (Figure 4's series), memoized by content hash."""
-        return self._sweep(k_values)[0]
+        """SSD per k (Figure 4's series)."""
+        return {k: fit.inertia for k, fit in self._kmeans_results(k_values).items()}
 
     def choose_k(
         self, k_values: range | list[int] = kmeans_mod.K_SWEEP, criterion: str = "elbow"
@@ -310,34 +266,18 @@ class TPUPointAnalyzer:
         """
         began = time.perf_counter()
         with obs.trace("analyzer.kmeans_phases") as span:
-            matrix = self.reduced_matrix()
-            fit = None
             if k is None:
-                sweep, results = self._sweep(kmeans_mod.K_SWEEP)
-                fit = None if results is None else kmeans_mod.elbow_fit(results)
-                k = kmeans_mod.elbow_k(sweep) if fit is None else fit.k
-            key = labels = inertia = None
-            if self.cache is not None:
-                key = matrix_key(matrix, "kmeans_labels", seed=self.seed, k=k)
-                table = self.cache.get_table(key)
-                if table is not None:
-                    labels = np.asarray(table["labels"], dtype=int)
-                    inertia = float(table["inertia"])
-            if labels is None:
-                if fit is None:
-                    with obs.trace("analyzer.kmeans_fit", k=k):
-                        fit = kmeans_mod.kmeans(matrix, k, seed=self.seed, pool=self.pool)
-                labels, inertia = fit.labels, fit.inertia
-                if key is not None:
-                    self.cache.put_table(
-                        key, {"labels": labels.tolist(), "inertia": inertia}
-                    )
-            span.set(k=k, phases=len(set(labels.tolist())))
+                fit = kmeans_mod.elbow_fit(self._kmeans_results(kmeans_mod.K_SWEEP))
+            else:
+                matrix = self.reduced_matrix()
+                with obs.trace("analyzer.kmeans_fit", k=k):
+                    fit = kmeans_mod.kmeans(matrix, k, seed=self.seed)
+            span.set(k=fit.k, phases=len(set(fit.labels.tolist())))
             analysis = AnalysisResult(
                 method="kmeans",
-                params={"k": k, "inertia": inertia},
-                labels=labels,
-                phases=build_phases(self.steps, labels),
+                params={"k": fit.k, "inertia": fit.inertia},
+                labels=fit.labels,
+                phases=build_phases(self.steps, fit.labels),
             )
         _DURATION_SECONDS.labels(algorithm="kmeans").observe(time.perf_counter() - began)
         return analysis
@@ -361,35 +301,16 @@ class TPUPointAnalyzer:
     def dbscan_sweep(
         self, min_samples_values: range | list[int] = dbscan_mod.MIN_SAMPLES_SWEEP
     ) -> dict[int, float]:
-        """Noise ratio per min_samples (Figure 5's series), memoized."""
-        key = None
-        if self.cache is not None:
-            key = matrix_key(
-                self.reduced_matrix(),
-                "dbscan_sweep",
-                values=list(min_samples_values),
-            )
-            cached = self.cache.get_table(key)
-            if cached is not None:
-                return {int(ms): float(v) for ms, v in cached.items()}
+        """Noise ratio per min_samples (Figure 5's series)."""
         began = time.perf_counter()
-        with obs.trace(
-            "analyzer.dbscan_sweep",
-            steps=self.reduced_matrix().shape[0],
-            workers=self.pool.workers,
-        ) as span:
+        matrix = self.reduced_matrix()
+        with obs.trace("analyzer.dbscan_sweep", steps=matrix.shape[0]) as span:
             results = dbscan_mod.sweep_min_samples(
-                self.reduced_matrix(),
-                min_samples_values,
-                graph=self.neighbor_graph(),
-                pool=self.pool,
+                matrix, min_samples_values, graph=self.neighbor_graph()
             )
             span.set(sweep_points=len(results))
         _SWEEP_SECONDS.labels(algorithm="dbscan").observe(time.perf_counter() - began)
-        sweep = {ms: result.noise_ratio for ms, result in results.items()}
-        if key is not None:
-            self.cache.put_table(key, {str(ms): v for ms, v in sweep.items()})
-        return sweep
+        return {ms: result.noise_ratio for ms, result in results.items()}
 
     def choose_min_samples(
         self, min_samples_values: range | list[int] = dbscan_mod.MIN_SAMPLES_SWEEP

@@ -155,15 +155,12 @@ def sweep_min_samples(
     *,
     graph: NeighborGraph | None = None,
     memory_budget_bytes: float | None = None,
-    pool=None,
 ) -> dict[int, DbscanResult]:
     """Run DBSCAN for each min_samples value (the analyzer's stage 2).
 
     The neighbor graph — and eps, when unset — is computed in exactly
-    one distance pass and reused across every sweep point; with a
-    :class:`~repro.parallel.WorkerPool` the relabelings fan out across
-    workers (each one is pure graph traversal, so results are identical
-    at any worker count).
+    one distance pass and reused across every sweep point; each point
+    is a relabeling of that graph, with no further distance work.
     """
     values = list(min_samples_values)
     if not values:
@@ -176,8 +173,4 @@ def sweep_min_samples(
         graph = build_neighbor_graph(
             matrix, eps, memory_budget_bytes=memory_budget_bytes
         )
-    if pool is not None and not pool.is_serial:
-        results = pool.map(lambda ms: dbscan_from_graph(graph, ms), values)
-    else:
-        results = [dbscan_from_graph(graph, ms) for ms in values]
-    return dict(zip(values, results))
+    return {ms: dbscan_from_graph(graph, ms) for ms in values}

@@ -17,8 +17,8 @@ observation that clustering hits memory limits where OLS does not.
 The module also owns the analyzer's *distance-pass accounting*: the
 ``repro_analyzer_distance_passes_total`` counter increments once per
 full self-pairwise pass over a matrix. The DBSCAN min_samples sweep is
-required (and CI-verified, see ``benchmarks/bench_ext_parallel.py
---quick``) to spend exactly one such pass: :func:`build_neighbor_graph`
+required (and tested, see ``tests/unit/test_distance.py``) to spend
+exactly one such pass: :func:`build_neighbor_graph`
 folds the eps heuristic and the neighbor graph into a single traversal,
 and every sweep point relabels the cached graph.
 """
@@ -34,10 +34,6 @@ from repro.errors import AnalyzerMemoryError, ClusteringError
 
 #: Transient block budget used when the caller sets no explicit budget.
 DEFAULT_BLOCK_BYTES = 8 * 1024 * 1024
-
-#: Salted into memo-cache keys: bump it whenever a kernel change can
-#: move any bit of a clustering output, so older cached results miss.
-KERNEL_VERSION = 2
 
 #: Rows probed up front to seed the neighbor-graph radius cap.
 _PROBE_ROWS = 64
@@ -58,7 +54,7 @@ _EXTRA_ROWS = obs.counter(
 
 
 def reset_pass_counter() -> None:
-    """Zero the pass counter (benchmarks and the CI perf-smoke guard)."""
+    """Zero the pass counter (benchmarks and the distance-pass tests)."""
     DISTANCE_PASSES.labels()._reset()
     _EXTRA_ROWS.labels()._reset()
 

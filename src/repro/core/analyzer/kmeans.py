@@ -6,12 +6,11 @@ to centroids (Section IV-A), mirroring SimPoint's methodology with the
 elbow heuristic replacing the BIC.
 
 The assignment step uses the blocked shared distance kernel
-(:mod:`repro.core.analyzer.distance`), and the sweep/restart fan-out
-runs on :class:`repro.parallel.WorkerPool`: every (k, restart) task
-draws from its own named RNG substream, so any worker count — including
-the serial inline pool — produces bit-identical labels and inertia.
-The elbow-chosen fit is taken from the sweep (:func:`elbow_fit`): it
-equals a separate seeded fit at that k, so it is never refit.
+(:mod:`repro.core.analyzer.distance`). With a ``seed``, every
+(k, restart) fit draws from its own named RNG substream
+(:func:`restart_key`), so a sweep's fit at k equals a separate seeded
+fit at k; the elbow-chosen fit is therefore taken from the sweep
+(:func:`elbow_fit`), never refit.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro import obs
 from repro.core.analyzer.distance import pairwise_sq_distances
 from repro.core.analyzer.elbow import find_elbow
 from repro.errors import ClusteringError
-from repro.parallel import WorkerPool, task_rng
+from repro.parallel import task_rng
 
 #: The paper's k sweep: k = 1..15 (Section IV-A).
 K_SWEEP = range(1, 16)
@@ -69,8 +68,8 @@ def _kmeanspp_init(
 def restart_key(k: int, restart: int) -> str:
     """The RNG-substream name of one (k, restart) task.
 
-    Naming the stream by task identity — never by execution order — is
-    what keeps the parallel sweep bit-identical to the serial one.
+    Naming the stream by task identity — never by the order fits run
+    in — is what makes a sweep's fit at k equal a separate fit at k.
     """
     return f"analyzer.kmeans/k={k}/init={restart}"
 
@@ -84,65 +83,28 @@ def kmeans(
     n_init: int = DEFAULT_N_INIT,
     *,
     seed: int | None = None,
-    pool: WorkerPool | None = None,
 ) -> KMeansResult:
     """Cluster rows of ``matrix`` into ``k`` groups.
 
     Runs ``n_init`` independent k-means++ seedings and keeps the lowest
-    inertia, so the SSD-vs-k curve stays monotone enough for the elbow
-    method. Passing ``rng`` preserves the legacy behaviour of restarts
-    consuming one shared sequential stream; passing ``seed`` gives each
-    restart its own derived substream (:func:`restart_key`) and lets the
-    restarts fan out over ``pool`` with identical results.
+    inertia (ties go to the earliest restart), so the SSD-vs-k curve
+    stays monotone enough for the elbow method. Passing ``rng``
+    preserves the legacy behaviour of restarts consuming one shared
+    sequential stream; passing ``seed`` gives each restart its own
+    derived substream (:func:`restart_key`).
     """
     if n_init <= 0:
         raise ClusteringError("n_init must be positive")
-    if seed is not None:
-        fits = _fit_tasks(
-            matrix, [(k, i) for i in range(n_init)], seed, pool, max_iterations, tolerance
-        )
-        return _best_of(fits)
-    rng = rng or np.random.default_rng(0)
+    if seed is None:
+        rng = rng or np.random.default_rng(0)
     best: KMeansResult | None = None
-    for _ in range(n_init):
-        candidate = _kmeans_once(matrix, k, rng, max_iterations, tolerance)
+    for restart in range(n_init):
+        stream = rng if seed is None else task_rng(seed, restart_key(k, restart))
+        candidate = _kmeans_once(matrix, k, stream, max_iterations, tolerance)
         if best is None or candidate.inertia < best.inertia:
             best = candidate
     assert best is not None
     return best
-
-
-def _best_of(fits: list[KMeansResult]) -> KMeansResult:
-    """Lowest inertia wins; ties break to the earliest restart.
-
-    Matches the serial ``<`` reduction, so the parallel path picks the
-    same winner.
-    """
-    best = fits[0]
-    for candidate in fits[1:]:
-        if candidate.inertia < best.inertia:
-            best = candidate
-    return best
-
-
-def _fit_tasks(
-    matrix: np.ndarray,
-    tasks: list[tuple[int, int]],
-    seed: int,
-    pool: WorkerPool | None,
-    max_iterations: int,
-    tolerance: float,
-) -> list[KMeansResult]:
-    """Run (k, restart) fits, each on its own RNG substream, in order."""
-
-    def fit(task: tuple[int, int]) -> KMeansResult:
-        k, restart = task
-        rng = task_rng(seed, restart_key(k, restart))
-        return _kmeans_once(matrix, k, rng, max_iterations, tolerance)
-
-    if pool is not None:
-        return pool.map(fit, tasks)
-    return [fit(task) for task in tasks]
 
 
 def _kmeans_once(
@@ -190,29 +152,15 @@ def sweep_k(
     rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
-    pool: WorkerPool | None = None,
     n_init: int = DEFAULT_N_INIT,
 ) -> dict[int, KMeansResult]:
-    """Run k-means for every k, as the analyzer's stage 2 prescribes.
-
-    With ``seed`` and a parallel ``pool`` the whole (k x restart) grid
-    becomes one flat task list — maximal fan-out — reduced per k by
-    :func:`_best_of`; results are identical at any worker count.
-    """
+    """Run k-means for every feasible k, as the analyzer's stage 2 prescribes."""
     feasible = [k for k in k_values if k <= matrix.shape[0]]
     if not feasible:
         raise ClusteringError("no feasible k values for the sample count")
-    results: dict[int, KMeansResult] = {}
-    if seed is not None and pool is not None and not pool.is_serial:
-        tasks = [(k, i) for k in feasible for i in range(n_init)]
-        fits = _fit_tasks(matrix, tasks, seed, pool, 300, 1e-6)
-        for k in feasible:
-            per_k = [fit for (task_k, _), fit in zip(tasks, fits) if task_k == k]
-            results[k] = _best_of(per_k)
-        return results
     rng = rng or np.random.default_rng(0)  # unused by seeded fits
+    results: dict[int, KMeansResult] = {}
     for k in feasible:
-        # Inline fits get one span per k (span parents never cross threads).
         with obs.trace("analyzer.kmeans_fit", k=k) as span:
             results[k] = kmeans(matrix, k, rng, n_init=n_init, seed=seed)
             span.set(inertia=results[k].inertia, iterations=results[k].iterations)

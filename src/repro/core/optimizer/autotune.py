@@ -4,8 +4,7 @@ Where :class:`~repro.core.optimizer.optimizer.TPUPointOptimizer` tunes
 *one live run online* (the paper's workflow), this engine searches the
 configuration space *offline* across many short runs: every candidate
 configuration is measured on a fresh estimator built by a caller-
-supplied factory, so candidates are independent and can fan out over a
-:class:`~repro.parallel.WorkerPool`.
+supplied factory, so candidates are independent of each other.
 
 The run proceeds in four moves:
 
@@ -18,9 +17,9 @@ The run proceeds in four moves:
    configuration becomes the search's starting point.
 3. **Search** — any registered strategy (hill climb, annealing,
    racing, surrogate) measures candidates through
-   :class:`EstimatorTrialEvaluator`; determinism at any worker count is
-   inherited from the pool's submission-order results and per-trial RNG
-   substreams. The ``surrogate`` strategy additionally gets a learned
+   :class:`EstimatorTrialEvaluator`, one after another in request
+   order, each on its own per-trial RNG substream. The ``surrogate``
+   strategy additionally gets a learned
    performance model (:mod:`repro.core.optimizer.surrogate`) fitted
    from the knowledge base's recorded trial observations plus the
    committed bench corpus, and spends real trials only on the
@@ -62,7 +61,7 @@ from repro.errors import (
     QualityViolationError,
 )
 from repro.host.pipeline import PipelineConfig
-from repro.parallel import WorkerPool, resolve_pool, task_rng
+from repro.parallel import task_rng
 from repro.rng import DEFAULT_SEED
 from repro.runtime.estimator import TPUEstimator
 
@@ -81,7 +80,6 @@ class AutotuneOptions:
     Attributes:
         strategy: registered search-strategy name (``tpupoint tune
             --strategy``); see :data:`repro.core.optimizer.STRATEGIES`.
-        workers: worker-pool width for concurrent candidate trials.
         seed: root seed for every trial and strategy RNG substream.
         detection_steps: cap on steps spent fingerprinting the phase.
         detection_chunk_steps: steps between detector checks.
@@ -101,7 +99,6 @@ class AutotuneOptions:
     """
 
     strategy: str = "racing"
-    workers: int = 1
     seed: int = DEFAULT_SEED
     detection_steps: int = 40
     detection_chunk_steps: int = 10
@@ -130,20 +127,18 @@ class EstimatorTrialEvaluator:
     simulated clock, and verifies the output signature never drifts from
     the defaults-built reference. Total simulated cost (run time plus
     the per-trial post-processing overhead the paper measures) is
-    accumulated in submission order, so it too is worker-count-invariant.
+    accumulated in request order.
     """
 
     def __init__(
         self,
         factory: EstimatorFactory,
         seed: int,
-        pool: WorkerPool | int | None = None,
         overhead_us_per_trial: float = 40_000.0,
         reference: OutputSignature | None = None,
     ):
         self.factory = factory
         self.seed = seed
-        self.pool = resolve_pool(pool, label="optimizer")
         self.overhead_us_per_trial = overhead_us_per_trial
         self.reference = reference
         self.simulated_us = 0.0
@@ -167,8 +162,8 @@ class EstimatorTrialEvaluator:
     def evaluate(
         self, requests: Sequence[tuple[str, PipelineConfig, int]]
     ) -> list[CandidateTrial]:
-        """Measure a batch of candidates; results come in request order."""
-        trials = self.pool.map(self._run, list(requests))
+        """Measure a batch of candidates, one at a time, in request order."""
+        trials = [self._run(request) for request in requests]
         for trial in trials:
             self.simulated_us += trial.elapsed_us + self.overhead_us_per_trial
         return trials
@@ -271,7 +266,6 @@ def autotune(
     initial_config: PipelineConfig | None = None,
     options: AutotuneOptions | None = None,
     knowledge: TuningKnowledgeBase | None = None,
-    pool: WorkerPool | int | None = None,
     strategy_options: dict | None = None,
 ) -> AutotuneResult:
     """Run the full offline autotune: fingerprint, warm-start, search, guard."""
@@ -321,49 +315,36 @@ def autotune(
                     tuple(dict(entry.config) for entry in knowledge.entries),
                 )
         strategy = build_strategy(options.strategy, **resolved_options)
-        own_pool = not isinstance(pool, WorkerPool)
-        worker_pool = resolve_pool(
-            pool if pool is not None else options.workers, label="optimizer"
-        )
         evaluator = EstimatorTrialEvaluator(
             factory,
             options.seed,
-            pool=worker_pool,
             overhead_us_per_trial=options.overhead_us_per_trial,
             reference=reference,
         )
         try:
-            try:
-                outcome = strategy.search(
-                    parameters, start_config, evaluator, options.seed
-                )
-            except QualityViolationError:
-                if not warm_started:
-                    raise
-                # A warm-started candidate corrupted output: drop the
-                # prior entirely and search cold from the defaults.
-                warm_started = False
+            outcome = strategy.search(parameters, start_config, evaluator, options.seed)
+        except QualityViolationError:
+            if not warm_started:
+                raise
+            # A warm-started candidate corrupted output: drop the
+            # prior entirely and search cold from the defaults.
+            warm_started = False
+            rolled_back = True
+            _ROLLBACKS.inc()
+            outcome = strategy.search(parameters, initial, evaluator, options.seed)
+
+        if warm_started:
+            # The guard trial: the warm search's champion must beat a
+            # fresh measurement of the user's defaults, else the warm
+            # start misled the search and the defaults win.
+            guard_steps = int(getattr(strategy, "trial_steps", 6))
+            guard = evaluator.evaluate([("warmstart:guard", initial, guard_steps)])[0]
+            outcome.trials.append(guard)
+            if outcome.best_throughput < guard.throughput:
                 rolled_back = True
                 _ROLLBACKS.inc()
-                outcome = strategy.search(parameters, initial, evaluator, options.seed)
-
-            if warm_started:
-                # The guard trial: the warm search's champion must beat a
-                # fresh measurement of the user's defaults, else the warm
-                # start misled the search and the defaults win.
-                guard_steps = int(getattr(strategy, "trial_steps", 6))
-                guard = evaluator.evaluate(
-                    [("warmstart:guard", initial, guard_steps)]
-                )[0]
-                outcome.trials.append(guard)
-                if outcome.best_throughput < guard.throughput:
-                    rolled_back = True
-                    _ROLLBACKS.inc()
-                    outcome.best_config = initial
-                    outcome.best_throughput = guard.throughput
-        finally:
-            if own_pool:
-                worker_pool.shutdown()
+                outcome.best_config = initial
+                outcome.best_throughput = guard.throughput
 
         recorded = False
         persist_error: str | None = None

@@ -9,11 +9,11 @@ trade trials for coverage:
 * :class:`SimulatedAnnealingStrategy` — seeded Metropolis search that
   proposes a *batch* of neighbor configurations per temperature level.
   Proposals and acceptance draws come from one driver-side RNG stream
-  consumed in a fixed order, while the batch's measurements fan out on
-  the :mod:`repro.parallel` pool — so any worker count replays the
-  same search bit-for-bit.
+  consumed in a fixed order, and each measurement draws only from its
+  own trial substream — so the search replays bit-for-bit however the
+  evaluator schedules a batch.
 * :class:`SuccessiveHalvingStrategy` — racing: a seeded population of
-  candidate configurations is measured concurrently on a small step
+  candidate configurations is measured as one batch on a small step
   budget, the top ``1/eta`` survive to a rung with ``eta``× the
   budget, and so on until one remains. Warm starts slot naturally into
   racing: the start configuration always races at index 0, so a good
@@ -211,7 +211,7 @@ class HillClimbStrategy(SearchStrategy):
     One parameter at a time: try each neighbor of the current best; on
     an accepted move keep stepping in the same direction until it stops
     helping. Sequential by construction — each trial depends on the
-    previous accept — so it gains nothing from extra workers; it is the
+    previous accept — so a concurrent evaluator gains it nothing; it is the
     reference strategy warm starts and the racers are compared against.
     """
 

@@ -82,10 +82,6 @@ class AnalyzerMemoryError(AnalyzerError):
     """A clustering method exceeded the analyzer's memory budget."""
 
 
-class CacheError(AnalyzerError):
-    """The analysis memo cache was misused or hit unreadable entries."""
-
-
 class ServeError(ReproError):
     """Fleet profiling service misuse (unknown job, bad lifecycle move)."""
 

@@ -124,14 +124,9 @@ def ensure_core_metrics() -> None:
         "repro_analyzer_distance_passes_total",
         "Full self-pairwise distance passes over a feature matrix.",
     )
-    counter(
-        "repro_analyzer_cache_events_total",
-        "Analysis memo-cache lookups and stores, by event.",
-        labels=("event",),
-    )
     gauge(
         "repro_parallel_queue_depth",
-        "Tasks submitted to the analyzer worker pool and not yet finished.",
+        "Tasks submitted to the shard-pump worker pool and not yet finished.",
     )
     histogram(
         "repro_parallel_task_seconds",

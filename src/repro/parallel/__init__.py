@@ -1,10 +1,9 @@
-"""repro.parallel — deterministic fan-out for the analyzer engine.
+"""repro.parallel — deterministic fan-out for the sharded fleet's pumps.
 
-See :mod:`repro.parallel.pool` for the reproducibility contract: ordered
-results plus per-task RNG substreams make any worker count bit-identical
-to the serial path.
+See :mod:`repro.parallel.pool` for the reproducibility contract:
+submission-order results plus per-task RNG substreams.
 """
 
-from repro.parallel.pool import MAX_WORKERS, WorkerPool, resolve_pool, task_rng
+from repro.parallel.pool import MAX_WORKERS, WorkerPool, task_rng
 
-__all__ = ["MAX_WORKERS", "WorkerPool", "resolve_pool", "task_rng"]
+__all__ = ["MAX_WORKERS", "WorkerPool", "task_rng"]

@@ -1,24 +1,17 @@
-"""A deterministic worker pool for the analyzer's sweep fan-out.
+"""A deterministic worker pool for the sharded fleet's pump fan-out.
 
-The clustering sweeps (k-means k = 1..15 with restarts, DBSCAN
-min_samples relabelings) are embarrassingly parallel, but naive
-parallelism breaks reproducibility: a shared RNG consumed in completion
-order yields different restarts run-to-run. :class:`WorkerPool` makes
-the parallel path bit-identical to the serial one by construction:
+:class:`~repro.serve.shard.ShardedFleet` pumps its shards and gathers
+scatter-gather queries through :meth:`WorkerPool.map`. Results come back
+in submission order, so any merge over them sees the same sequence
+regardless of worker count or completion order.
 
-* every task draws randomness only from its own named substream
-  (:func:`task_rng`, derived via :mod:`repro.rng` from a root seed plus
-  a stable task key — no task ever observes another task's draws);
-* :meth:`WorkerPool.map` returns results in submission order, so any
-  reduction over them (best-of-restarts, per-k tables) sees the same
-  sequence regardless of worker count or completion order.
+:func:`task_rng` gives one task — a k-means restart, an autotune trial
+— its own named RNG substream, derived via :mod:`repro.rng` from a root
+seed plus a stable task key, so no other task's draws can disturb it.
 
 ``workers <= 1`` runs tasks inline with zero thread overhead — the
-serial reference path — and any ``workers`` value produces the same
-results, which :mod:`tests.property.test_prop_parallel_equiv` pins.
-Threads (not processes) are the backend: the sweeps bottleneck on
-numpy/BLAS kernels that release the GIL, and threads share the feature
-matrix without pickling it per task.
+serial reference path. Threads (not processes) are the backend, so the
+shards share memory without pickling.
 
 Queue depth and per-task latency are observable via :mod:`repro.obs`
 (``repro_parallel_queue_depth``, ``repro_parallel_task_seconds``,
@@ -28,7 +21,7 @@ Queue depth and per-task latency are observable via :mod:`repro.obs`
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -44,7 +37,7 @@ MAX_WORKERS = 64
 
 _QUEUE_DEPTH = obs.gauge(
     "repro_parallel_queue_depth",
-    "Tasks submitted to the analyzer worker pool and not yet finished.",
+    "Tasks submitted to the shard-pump worker pool and not yet finished.",
 )
 _TASK_SECONDS = obs.histogram(
     "repro_parallel_task_seconds",
@@ -53,7 +46,7 @@ _TASK_SECONDS = obs.histogram(
 )
 _TASKS_TOTAL = obs.counter(
     "repro_parallel_tasks_total",
-    "Tasks executed by the analyzer worker pool, by pool label.",
+    "Tasks executed by the worker pool, by pool label.",
     labels=("pool",),
 )
 
@@ -61,8 +54,7 @@ _TASKS_TOTAL = obs.counter(
 def task_rng(seed: int, key: str) -> np.random.Generator:
     """A deterministic per-task generator, independent of all other tasks.
 
-    Same ``(seed, key)`` → same stream, on any worker, in any order —
-    the property that makes parallel sweeps bit-identical to serial.
+    Same ``(seed, key)`` → same stream, on any worker, in any order.
     """
     return rng_mod.stream(key, seed)
 
@@ -74,7 +66,7 @@ class WorkerPool:
     threads are created and :meth:`map` degenerates to an inline loop.
     """
 
-    def __init__(self, workers: int = 1, label: str = "analyzer"):
+    def __init__(self, workers: int = 1, label: str = "pool"):
         if workers < 0:
             raise ConfigurationError("workers must be non-negative")
         if workers > MAX_WORKERS:
@@ -122,8 +114,9 @@ class WorkerPool:
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """Apply ``fn`` to every item; results come back in item order.
 
-        The first task exception propagates (after all tasks finish or
-        are cancelled), exactly as the serial loop would raise it.
+        On a threaded pool every task runs to completion before the
+        earliest-submitted task's exception propagates; the inline
+        pool raises at the first failure, as a plain loop would.
         """
         tasks: Sequence[T] = list(items)
         if not tasks:
@@ -136,17 +129,5 @@ class WorkerPool:
                 return [self._run_one(fn, item) for item in tasks]
             executor = self._ensure_executor()
             futures = [executor.submit(self._run_one, fn, item) for item in tasks]
+            wait(futures)
             return [future.result() for future in futures]
-
-    def starmap(self, fn: Callable[..., R], items: Iterable[tuple]) -> list[R]:
-        """:meth:`map` over argument tuples."""
-        return self.map(lambda args: fn(*args), items)
-
-
-def resolve_pool(pool: "WorkerPool | int | None", label: str = "analyzer") -> WorkerPool:
-    """Coerce a pool argument (pool instance, worker count, or None)."""
-    if pool is None:
-        return WorkerPool(1, label=label)
-    if isinstance(pool, WorkerPool):
-        return pool
-    return WorkerPool(int(pool), label=label)

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.analyzer.dbscan import NOISE, dbscan
 from repro.core.analyzer.elbow import find_elbow
-from repro.core.analyzer.kmeans import kmeans
+from repro.core.analyzer.kmeans import kmeans, sweep_k
 from repro.core.analyzer.pca import PCA
 
 matrices = arrays(
@@ -34,6 +34,20 @@ def test_kmeans_inertia_weakly_decreases_with_k(matrix):
     # Best-of-restarts keeps the curve monotone up to numerical slack.
     assert inertias[0] >= inertias[1] - 1e-6
     assert inertias[1] >= inertias[2] - 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrices, st.integers(0, 1000))
+def test_sweep_fit_equals_separate_seeded_fit(matrix, seed):
+    # elbow_fit takes the chosen fit from the sweep instead of refitting;
+    # that is sound only because every (k, restart) has its own substream.
+    sweep = sweep_k(matrix, range(1, 5), seed=seed)
+    for k, fit in sweep.items():
+        alone = kmeans(matrix, k, seed=seed)
+        assert np.array_equal(fit.labels, alone.labels)
+        assert np.array_equal(fit.centers, alone.centers)
+        assert fit.inertia == alone.inertia
+        assert fit.iterations == alone.iterations
 
 
 @settings(max_examples=30, deadline=None)

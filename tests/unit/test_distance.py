@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.analyzer import TPUPointAnalyzer
 from repro.core.analyzer import distance as distance_mod
+from repro.core.analyzer.dbscan import MIN_SAMPLES_SWEEP, sweep_min_samples
 from repro.core.analyzer.distance import (
     NeighborGraph,
     block_rows,
@@ -169,3 +171,22 @@ class TestNeighborGraph:
         assert graph.counts.tolist() == [2, 1]
         assert graph.neighbors(0).tolist() == [0, 1]
         assert graph.memory_bytes() == graph.indptr.nbytes + graph.indices.nbytes
+
+
+class TestSweepPasses:
+    """A whole DBSCAN min_samples sweep spends exactly one distance pass."""
+
+    def test_full_sweep_is_one_pass(self, rng):
+        matrix = rng.normal(size=(200, 6))
+        reset_pass_counter()
+        results = sweep_min_samples(matrix, MIN_SAMPLES_SWEEP)
+        assert sorted(results) == list(MIN_SAMPLES_SWEEP)
+        assert distance_passes() == 1
+
+    def test_analyzer_sweep_then_phases_is_one_pass(self, bert_mrpc_run):
+        _, _, records = bert_mrpc_run
+        analyzer = TPUPointAnalyzer(records)
+        reset_pass_counter()
+        analyzer.dbscan_sweep()
+        analyzer.dbscan_phases()
+        assert distance_passes() == 1

@@ -1,11 +1,14 @@
-"""The deterministic worker pool behind the analyzer's sweeps."""
+"""The deterministic worker pool behind the sharded fleet's pumps."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.parallel import MAX_WORKERS, WorkerPool, resolve_pool, task_rng
+from repro.parallel import MAX_WORKERS, WorkerPool, task_rng
 
 
 class TestWorkerPool:
@@ -15,8 +18,6 @@ class TestWorkerPool:
         assert pool.map(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
 
     def test_parallel_map_preserves_submission_order(self):
-        import time
-
         with WorkerPool(4) as pool:
             assert not pool.is_serial
 
@@ -29,9 +30,6 @@ class TestWorkerPool:
     def test_empty_map(self):
         assert WorkerPool(3).map(lambda x: x, []) == []
 
-    def test_starmap(self):
-        assert WorkerPool(1).starmap(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
-
     def test_exception_propagates(self):
         def boom(x):
             raise ValueError(f"task {x}")
@@ -41,6 +39,33 @@ class TestWorkerPool:
         with WorkerPool(2) as pool:
             with pytest.raises(ValueError, match="task"):
                 pool.map(boom, [1, 2, 3])
+
+        # A failure surfaces only after every sibling task has ended.
+        depth = obs.gauge("repro_parallel_queue_depth").labels()
+        before = depth.value
+        finished = threading.Event()
+
+        def fail_first(x):
+            if x == 0:
+                raise ValueError("task 0")
+            time.sleep(0.2)
+            finished.set()
+            return x
+
+        with WorkerPool(2) as pool:
+            with pytest.raises(ValueError, match="task 0"):
+                pool.map(fail_first, [0, 1])
+            assert finished.is_set()
+            assert depth.value == before
+
+        # The earliest-submitted failure wins, whatever fails first.
+        def fail_late_items_first(x):
+            time.sleep(0.05 * (2 - x))
+            raise ValueError(f"task {x}")
+
+        with WorkerPool(3) as pool:
+            with pytest.raises(ValueError, match="task 0"):
+                pool.map(fail_late_items_first, [0, 1, 2])
 
     def test_shutdown_idempotent(self):
         pool = WorkerPool(2)
@@ -62,18 +87,6 @@ class TestWorkerPool:
         before = depth.value
         WorkerPool(1, label="test").map(lambda x: x, [1, 2, 3])
         assert depth.value == before
-
-
-class TestResolvePool:
-    def test_none_gives_serial(self):
-        assert resolve_pool(None).is_serial
-
-    def test_int_gives_width(self):
-        assert resolve_pool(3).workers == 3
-
-    def test_pool_passes_through(self):
-        pool = WorkerPool(2)
-        assert resolve_pool(pool) is pool
 
 
 class TestTaskRng:
