@@ -1,18 +1,17 @@
 """Extension: sharded fleet ingest throughput at 10k tenants.
 
-One ``FleetService`` drain loop walks every live tenant per global
-pump, so pump cost grows with fleet size even when most queues are
-empty. The sharded tier (``repro.serve.shard``, docs/fleet.md) bounds
-that walk: a full ingest batch pumps only its own shard, so per-pump
-scan work is tenants-per-shard — roughly an S-fold reduction at S
-shards — while every answer stays bit-identical to the single-service
-path.
+A ``FleetService`` global pump drains only the tenants with queued
+records and its stall check walks only expired tenants, so a pump
+costs what was queued, not the fleet size. The sharded tier
+(``repro.serve.shard``, docs/fleet.md) splits the tenants over S
+services and pumps a shard whenever its ingest batch fills, while
+every answer stays bit-identical to the single-service path.
 
 This bench registers 10,000 synthetic tenants, streams one record
 each through ``ShardedFleet`` at 1/2/4/8 shards, and reports:
 
-* ingest+drain throughput (records/s of real wall time), which must
-  *increase* with shard count (asserted full-run only — CI boxes are
+* ingest+drain throughput (records/s of real wall time); a full run
+  asserts that one shard reaches ``SINGLE_SHARD_FLOOR`` (CI boxes are
   too noisy for timing asserts, so ``--quick`` checks identities on a
   smaller fleet instead);
 * p50/p99 ``job_snapshot`` latency over a 512-tenant sample;
@@ -34,6 +33,10 @@ _SHARD_COUNTS = (1, 2, 4, 8)
 _FULL_TENANTS = 10_000
 _QUICK_TENANTS = 1_500
 _SNAPSHOT_SAMPLE = 512
+#: Records/s one shard must reach at 10k tenants in a full run: the
+#: 8-shard rate this bench recorded while every pump scanned all of its
+#: shard's live tenants.
+SINGLE_SHARD_FLOOR = 6_851
 
 _OPS = ("matmul", "fusion", "InfeedDequeueTuple")
 
@@ -86,7 +89,7 @@ def _snapshot_latencies(fleet, tenants) -> tuple[float, float]:
     return p50 * 1e6, p99 * 1e6
 
 
-def run_sweep(num_tenants: int, assert_scaling: bool) -> list[str]:
+def run_sweep(num_tenants: int, assert_floor: bool) -> list[str]:
     lines = [
         f"{'shards':>7s} {'tenants':>8s} {'records':>8s} {'dropped':>8s} "
         f"{'rec/s':>10s} {'snap p50':>10s} {'snap p99':>10s}"
@@ -125,13 +128,12 @@ def run_sweep(num_tenants: int, assert_scaling: bool) -> list[str]:
     best, base = throughput[max(_SHARD_COUNTS)], throughput[1]
     lines.append(
         f"throughput x{best / base:.2f} at {max(_SHARD_COUNTS)} shards vs 1 "
-        f"(per-pump scan is tenants/shard, docs/fleet.md)"
+        f"(a pump drains only queued tenants, docs/fleet.md)"
     )
-    if assert_scaling:
-        assert best > base, (
-            f"ingest throughput must rise with shard count at {num_tenants} "
-            f"tenants: {base:.0f} rec/s at 1 shard vs {best:.0f} at "
-            f"{max(_SHARD_COUNTS)}"
+    if assert_floor:
+        assert base >= SINGLE_SHARD_FLOOR, (
+            f"one shard must ingest at least {SINGLE_SHARD_FLOOR} rec/s at "
+            f"{num_tenants} tenants: {base:.0f} rec/s"
         )
     return lines
 
@@ -142,7 +144,7 @@ def test_ext_shard_scaling(benchmark):
     lines: list[str] = []
 
     def run_all():
-        lines.extend(run_sweep(_FULL_TENANTS, assert_scaling=True))
+        lines.extend(run_sweep(_FULL_TENANTS, assert_floor=True))
 
     once(benchmark, run_all)
     emit(
@@ -162,12 +164,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     title = "Extension: sharded fleet ingest at 10k tenants (1/2/4/8 shards)"
     if args.quick:
-        lines = run_sweep(_QUICK_TENANTS, assert_scaling=False)
+        lines = run_sweep(_QUICK_TENANTS, assert_floor=False)
         print("\n".join([f"== {title} (quick) =="] + lines))
     else:
         from _harness import emit
 
-        lines = run_sweep(_FULL_TENANTS, assert_scaling=True)
+        lines = run_sweep(_FULL_TENANTS, assert_floor=True)
         emit("ext_shard", title, lines)
     return 0
 

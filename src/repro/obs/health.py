@@ -180,6 +180,8 @@ class HealthMonitor:
         # concatenation on the per-round hot path.
         self._previous: dict[int, dict[str, float]] = {}
         self._families: dict[str, object] = {}
+        # Steps each live job had folded at the previous sample.
+        self._seen: dict[str, int] = {}
         # Seeded scrape phase: with sample_every N, sampling lands on a
         # deterministic offset in [0, N) drawn from a named stream.
         if self.options.sample_every > 1:
@@ -250,21 +252,36 @@ class HealthMonitor:
 
         # Phase drift per live job, and SDC throughput drop per chip
         # (the max over a chip's resident jobs: any one degraded tenant
-        # implicates the chip).
+        # implicates the chip). A job's operator totals and FLOPs move
+        # only when it folds a step, so a job that folded none since the
+        # previous sample (on the same chip) would read an empty window:
+        # it repeats its last readings without calling the detectors.
         drift_max = 0.0
         chips = chip_assignments(service)
         chip_drops: dict[str, float] = {}
+        previous, self._seen = self._seen, {}
         for job_id, analysis in live_analyses(service):
-            distance = self.drift.observe(job_id, analysis)
+            chip = chips.get(job_id)
+            # Inverted (~) on a chip: a chip assigned since the previous
+            # sample also makes the job's detectors look again.
+            seen = analysis.steps_seen if chip is None else ~analysis.steps_seen
+            if previous.pop(job_id, None) == seen:
+                distance = self.drift.last_distance.get(job_id)
+                drop = self.sdc.last_drop.get(job_id)
+            else:
+                distance = self.drift.observe(job_id, analysis)
+                drop = None if chip is None else self.sdc.observe(job_id, analysis)
+            self._seen[job_id] = seen
             if distance is not None:
                 self.rings.record(f"drift:{job_id}", tick, distance)
                 drift_max = max(drift_max, distance)
-            chip = chips.get(job_id)
-            if chip is None:
-                continue
-            drop = self.sdc.observe(job_id, analysis)
-            if drop is not None:
+            if chip is not None and drop is not None:
                 chip_drops[chip] = max(chip_drops.get(chip, 0.0), drop)
+        # Jobs gone from the live set have completed or been evicted:
+        # drop their detector state (their rings stay).
+        for job_id in previous:
+            self.drift.forget(job_id)
+            self.sdc.forget(job_id)
         for chip, drop in chip_drops.items():
             self.rings.record(f"chip_sdc:{chip}", tick, drop)
         _DRIFT_MAX_CHILD.set(drift_max)

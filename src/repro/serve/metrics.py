@@ -95,8 +95,12 @@ class ServiceMetrics:
         # a missing series).
         for event in _JOB_EVENTS:
             self._jobs.labels(event=event)
-        for event in _RECORD_EVENTS:
-            self._records.labels(event=event)
+        # Producers on other threads count records through these bound
+        # children: ``inc`` is atomic, while ``+=`` through the attribute
+        # API below is a read then a write that can lose a race.
+        self._record_events = {
+            event: self._records.labels(event=event) for event in _RECORD_EVENTS
+        }
 
     # --- the original attribute API ----------------------------------------
 
@@ -166,18 +170,22 @@ class ServiceMetrics:
 
     # --- recording ---------------------------------------------------------
 
+    def record_submit(self, count: int = 1) -> None:
+        """Count records submitted by producers."""
+        self._record_events["submitted"].inc(count)
+
     def record_drop(self, job_id: str, count: int) -> None:
         """Count records shed by one job's queue."""
         if count <= 0:
             return
-        self.records_dropped += count
+        self._record_events["dropped"].inc(count)
         self._job_drops.labels(job=job_id).inc(count)
 
     def record_quarantine(self, job_id: str, count: int = 1) -> None:
         """Count records quarantined from one job's stream."""
         if count <= 0:
             return
-        self.records_quarantined += count
+        self._record_events["quarantined"].inc(count)
         self._job_quarantines.labels(job=job_id).inc(count)
 
     def record_eviction(self, job_id: str) -> None:

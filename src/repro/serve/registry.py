@@ -147,8 +147,12 @@ class JobRegistry:
         return self.transition(job_id, JobState.EVICTED)
 
     def jobs(self, state: JobState | None = None, live: bool = False) -> list[JobInfo]:
-        """Jobs in registration order, optionally filtered."""
-        found = sorted(self._jobs.values(), key=lambda info: info.sequence)
+        """Jobs in registration order, optionally filtered.
+
+        ``_jobs`` is already in ``sequence`` order: entries are inserted
+        at registration and never removed, so no sort is needed.
+        """
+        found = list(self._jobs.values())
         if state is not None:
             found = [info for info in found if info.state is state]
         if live:

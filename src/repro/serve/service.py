@@ -12,9 +12,11 @@ which requires the run to have ended.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from repro import obs
@@ -76,7 +78,9 @@ class FleetServiceOptions:
     ``heartbeat_deadline`` is counted in global pump ticks: an ACTIVE
     job that contributes no accepted record for that many consecutive
     ``pump()`` rounds is parked in STALLED (None disables stall
-    detection). ``quarantine_capacity`` bounds how many refused records
+    detection). Active jobs are kept in last-accept order, so each
+    global pump's stall check costs O(jobs past the deadline), not
+    O(active jobs). ``quarantine_capacity`` bounds how many refused records
     are retained for inspection — the count is unbounded, the evidence
     is a ring buffer.
 
@@ -123,7 +127,12 @@ class FleetService:
             maxlen=self.options.quarantine_capacity
         )
         self._tick = 0
-        self._last_accept_tick: dict[str, int] = {}
+        # Scheduling state, guarded by ``_lock`` because producers may
+        # submit from other threads: the jobs with queued records, and
+        # every ACTIVE job's last accept tick, oldest accept first.
+        self._lock = threading.Lock()
+        self._ready: dict[str, JobInfo] = {}
+        self._last_accept: dict[str, int] = {}
         self._knowledge: TuningKnowledgeBase | None = None
         self._ledger = None
         self._chips: dict[str, str] = {}  # job_id -> chip, registration order
@@ -228,7 +237,6 @@ class FleetService:
             analysis.on_step = partial(self._ledger.observe_step, info.job_id)
         self._analyses[info.job_id] = analysis
         self.metrics.jobs_registered += 1
-        self._last_accept_tick[info.job_id] = self._tick
         return info
 
     def sink(self, job_id: str, transit=None) -> Callable[[ProfileRecord], None]:
@@ -256,13 +264,13 @@ class FleetService:
                 frame = codec.encode_frame(next(sequence), record)
                 delivered = frame if transit is None else transit.apply_frame(frame)
                 if delivered is None:
-                    self.metrics.records_submitted += 1
+                    self.metrics.record_submit()
                     self.metrics.record_drop(job_id, 1)
                     return
                 try:
                     decoded = codec.decode_frame(delivered)
                 except CodecError as error:
-                    self.metrics.records_submitted += 1
+                    self.metrics.record_submit()
                     self._quarantine_record(
                         job_id,
                         codec.frame_stub(delivered),
@@ -277,7 +285,7 @@ class FleetService:
             checksum = record_checksum(record)
             delivered = record if transit is None else transit.apply(record)
             if delivered is None:
-                self.metrics.records_submitted += 1
+                self.metrics.record_submit()
                 self.metrics.record_drop(job_id, 1)
                 return
             self.submit(job_id, delivered, checksum=checksum)
@@ -300,7 +308,7 @@ class FleetService:
         info = self.registry.get(job_id)
         if not info.live:
             raise ServeError(f"job {job_id!r} is {info.state.value}; cannot ingest")
-        self.metrics.records_submitted += 1
+        self.metrics.record_submit()
         reason = validate_record(record, checksum=checksum)
         if reason is not None:
             self._quarantine_record(job_id, record, reason)
@@ -310,13 +318,9 @@ class FleetService:
                 dropped=0,
                 depth=self._queues[job_id].depth,
             )
-        if info.state is JobState.REGISTERED:
-            self.registry.activate(job_id)
-        elif info.state is JobState.STALLED:
-            self.registry.resume(job_id)
-            self.metrics.jobs_resumed += 1
-        self._last_accept_tick[job_id] = self._tick
+        self._accept(info)
         ack = self._queues[job_id].offer(record)
+        self._mark_ready(info)
         self.metrics.record_drop(job_id, ack.dropped)
         return ack
 
@@ -344,7 +348,7 @@ class FleetService:
             raise ServeError(f"job {job_id!r} is {info.state.value}; cannot ingest")
         if not records:
             return []
-        self.metrics.records_submitted += len(records)
+        self.metrics.record_submit(len(records))
         accepted: list[ProfileRecord] = []
         refusals: list[int] = []
         for position, (record, checksum) in enumerate(zip(records, checksums)):
@@ -354,15 +358,12 @@ class FleetService:
             else:
                 self._quarantine_record(job_id, record, reason)
                 refusals.append(position)
-        if accepted:
-            if info.state is JobState.REGISTERED:
-                self.registry.activate(job_id)
-            elif info.state is JobState.STALLED:
-                self.registry.resume(job_id)
-                self.metrics.jobs_resumed += 1
-            self._last_accept_tick[job_id] = self._tick
         queue = self._queues[job_id]
-        queue_acks = iter(queue.offer_many(accepted))
+        queue_acks = iter(())
+        if accepted:
+            self._accept(info)
+            queue_acks = iter(queue.offer_many(accepted))
+            self._mark_ready(info)
         refused = set(refusals)
         acks: list[IngestAck] = []
         for position in range(len(records)):
@@ -377,6 +378,23 @@ class FleetService:
                 self.metrics.record_drop(job_id, ack.dropped)
                 acks.append(ack)
         return acks
+
+    def _accept(self, info: JobInfo) -> None:
+        """Activate or resume the job of an accepted record; restart its heartbeat."""
+        with self._lock:
+            if info.state is JobState.REGISTERED:
+                self.registry.activate(info.job_id)
+            elif info.state is JobState.STALLED:
+                self.registry.resume(info.job_id)
+                self.metrics.jobs_resumed += 1
+            # Re-insert at the end: the dict stays in accept-tick order.
+            self._last_accept.pop(info.job_id, None)
+            self._last_accept[info.job_id] = self._tick
+
+    def _mark_ready(self, info: JobInfo) -> None:
+        """Queue ``info``'s job for the next global pump."""
+        with self._lock:
+            self._ready[info.job_id] = info
 
     def _quarantine_record(self, job_id: str, record: ProfileRecord, reason: str) -> None:
         self._quarantine.append(
@@ -400,6 +418,11 @@ class FleetService:
         drain is restricted to one tenant; ``max_records`` bounds the
         work done in one call so the loop can be scheduled fairly.
 
+        A global pump drains only the jobs that have queued records
+        since the last pump (the ready set), in registration order, so
+        its cost follows the queued work rather than the fleet size. A
+        job that ``max_records`` leaves non-empty stays ready.
+
         A record the assembler rejects is quarantined, not raised: one
         tenant's bad stream cannot take the drain loop down for everyone
         else. Global pumps also advance the heartbeat clock — an ACTIVE
@@ -409,10 +432,14 @@ class FleetService:
         with obs.trace("serve.pump", job=job_id or "all") as span:
             if job_id is not None:
                 queues = [self._queue(job_id)]
+                with self._lock:
+                    self._ready.pop(job_id, None)
             else:
+                with self._lock:
+                    ready, self._ready = self._ready, {}
                 queues = [
                     self._queues[info.job_id]
-                    for info in self.registry.jobs()
+                    for info in sorted(ready.values(), key=attrgetter("sequence"))
                     if info.live
                 ]
             assembled = 0
@@ -426,22 +453,36 @@ class FleetService:
                         assembled += analysis.ingest(record)
                     except ProfilerError as error:
                         self._quarantine_record(queue.job_id, record, str(error))
+                if queue.depth:
+                    self._mark_ready(self.registry.get(queue.job_id))
             self.metrics.steps_assembled += assembled
             if job_id is None:
-                self._heartbeat_tick()
-            span.set(records=drained, steps=assembled)
+                span.set(stalled=self._heartbeat_tick())
+            span.set(tenants=len(queues), records=drained, steps=assembled)
         return assembled
 
-    def _heartbeat_tick(self) -> None:
-        """One global heartbeat: stall jobs silent past the deadline."""
-        self._tick += 1
+    def _heartbeat_tick(self) -> int:
+        """One global heartbeat: stall jobs silent past the deadline.
+
+        ``_last_accept`` is in accept-tick order and ticks only grow, so
+        the expired jobs are a prefix: the walk stops at the first live
+        tick. Returns the number of jobs stalled.
+        """
         deadline = self.options.heartbeat_deadline
-        if deadline is None:
-            return
-        for info in self.registry.jobs(state=JobState.ACTIVE):
-            if self._tick - self._last_accept_tick.get(info.job_id, self._tick) >= deadline:
+        with self._lock:
+            self._tick += 1
+            if deadline is None:
+                return 0
+            expired = []
+            for job_id, tick in self._last_accept.items():
+                if self._tick - tick < deadline:
+                    break
+                expired.append(self.registry.get(job_id))
+            for info in sorted(expired, key=attrgetter("sequence")):
+                del self._last_accept[info.job_id]
                 self.registry.stall(info.job_id)
-                self.metrics.jobs_stalled += 1
+            self.metrics.jobs_stalled += len(expired)
+        return len(expired)
 
     def complete(self, job_id: str) -> JobInfo:
         """Drain what is queued, flush the assembler, close the job."""
@@ -453,9 +494,10 @@ class FleetService:
             self.pump(job_id)
             flushed = self._analyses[job_id].finish()
             self.metrics.steps_assembled += flushed
-            info = self.registry.complete(job_id)
+            with self._lock:
+                info = self.registry.complete(job_id)
+                self._last_accept.pop(job_id, None)
             self.metrics.jobs_completed += 1
-            self._last_accept_tick.pop(job_id, None)
             return info
 
     def evict(self, job_id: str) -> JobInfo:
@@ -465,10 +507,12 @@ class FleetService:
         ``evicted_drops`` total so metrics stay O(live jobs), not
         O(all jobs ever).
         """
-        info = self.registry.evict(job_id)
+        with self._lock:
+            info = self.registry.evict(job_id)
+            self._ready.pop(job_id, None)
+            self._last_accept.pop(job_id, None)
         self._queues.pop(job_id, None)
         self._analyses.pop(job_id, None)
-        self._last_accept_tick.pop(job_id, None)
         self._chips.pop(job_id, None)
         self.metrics.jobs_evicted += 1
         self.metrics.record_eviction(job_id)

@@ -1,17 +1,16 @@
 """Horizontally sharded fleet tier with scatter-gather queries.
 
 One :class:`~repro.serve.service.FleetService` folds every tenant's
-records on a single drain loop; at fleet scale (thousands of tenants)
-each global pump walks every live job. :class:`ShardedFleet` splits the
-fleet across N independent ``FleetService`` shards:
+records on a single drain loop, and a global pump drains only the
+tenants with queued records. :class:`ShardedFleet` splits the fleet
+across N independent ``FleetService`` shards:
 
 * tenants route to shards via a seeded consistent-hash
   :class:`~repro.serve.shard.ring.HashRing` — deterministic at any
   shard count, stable under resize;
 * ingest is batched per shard; a full batch flushes through
   ``FleetService.submit_many`` and immediately pumps *that shard only*,
-  so per-pump work scales with tenants-per-shard, not fleet size, and
-  queue depth never exceeds the batch size (the **no-drop invariant**:
+  so queue depth never exceeds the batch size (the **no-drop invariant**:
   with ``batch_size <= queue_capacity`` the sharded path never sheds a
   record, which is what makes its results bit-identical to a single
   service's);
@@ -273,7 +272,7 @@ class ShardedFleet:
                     # aggregate submitted/dropped counters stay
                     # shard-invariant (see FleetService.sink).
                     metrics = self.shards[self._entry(job_id).shard].metrics
-                    metrics.records_submitted += 1
+                    metrics.record_submit()
                     metrics.record_drop(job_id, 1)
                     return
                 try:
@@ -296,7 +295,7 @@ class ShardedFleet:
                 # aggregate submitted/dropped counters stay
                 # shard-invariant (see FleetService.sink).
                 metrics = self.shards[self._entry(job_id).shard].metrics
-                metrics.records_submitted += 1
+                metrics.record_submit()
                 metrics.record_drop(job_id, 1)
                 return
             self.submit(job_id, delivered, checksum=checksum)

@@ -11,9 +11,11 @@ emits zero alert events.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.profiler.record import ProfileRecord, StepStats
 from repro.errors import ObsError
 from repro.obs.alerts import (
     AlertEngine,
@@ -24,6 +26,7 @@ from repro.obs.alerts import (
 from repro.obs.drift import (
     DriftBand,
     PhaseDriftDetector,
+    UtilizationAnomalyDetector,
     mix_distance,
     mix_shares,
     operator_totals,
@@ -39,6 +42,8 @@ from repro.obs.timeseries import (
     merge_stores,
     sparkline,
 )
+from repro.runtime.events import DeviceKind, StepKind
+from repro.serve import FleetService
 
 BURST_PLAN = "examples/faults/health_burst.json"
 BURST_OVERRIDES = {"checkpoint_every": 48, "checkpoint_bytes": 4e9}
@@ -550,6 +555,141 @@ class TestHealthOptions:
         for tick in range(1, 9):
             monitor.observe(_Silent(), tick)
         assert monitor.samples == sum(1 for t in range(1, 9) if t % 4 == offset)
+
+
+def _tenant_record(index, scale, excursion=False, steps=2):
+    """Record ``index`` of one synthetic tenant: ``steps`` whole steps.
+
+    An excursion record swaps in a checkpoint-heavy mix at lower MXU
+    throughput, so both detectors read non-zero values.
+    """
+    record = ProfileRecord(index=index, window_start_us=0.0, window_end_us=1.0)
+    mix = (("Checkpoint", 5000.0), ("MatMul", 300.0)) if excursion else (
+        ("MatMul", 900.0), ("Conv2D", 1200.0), ("Relu", 80.0)
+    )
+    for number in range(index * steps, (index + 1) * steps):
+        step = StepStats(step=number, kind=StepKind.TRAIN)
+        for name, mean in mix:
+            step.observe(name, DeviceKind.TPU, mean * scale)
+        step.start_us = number * 10_000.0
+        step.end_us = step.start_us + 3_000.0 * scale
+        step.tpu_idle_us = 100.0
+        step.mxu_flops = 1e9 * scale * (0.6 if excursion else 1.0)
+        record.steps[number] = step
+    return record
+
+
+class _HiddenJobs:
+    """A fleet view that shows the monitor no live analyses."""
+
+    def __init__(self, service):
+        self._service = service
+
+    def __getattr__(self, name):
+        return getattr(self._service, name)
+
+    def live_analyses(self):
+        return []
+
+
+class TestIdleTenantSampling:
+    def test_idle_tenants_repeat_their_last_reading(self):
+        # 200 tenants, a few sending per tick. The reference calls both
+        # detectors on every live tenant every tick; the monitor calls
+        # them only for tenants that folded a step (or changed chip)
+        # since its previous sample, and its rings stay identical.
+        rng = np.random.default_rng(7)
+        service = FleetService()
+        jobs = [service.register("synthetic").job_id for _ in range(200)]
+        for index, job in enumerate(jobs[:150]):
+            service.assign_chip(job, f"chip-{index % 10}")
+        scales = rng.uniform(0.5, 2.0, size=len(jobs))
+        sent = [0] * len(jobs)
+        monitor, reference = HealthMonitor(), HealthMonitor()
+        drift, sdc = PhaseDriftDetector(), UtilizationAnomalyDetector()
+        called: list[str] = []
+        observe = monitor.drift.observe
+
+        def counted_observe(job, analysis):
+            called.append(job)
+            return observe(job, analysis)
+
+        monitor.drift.observe = counted_observe
+        # Tenants 150-159 warm up early, go idle, gain a chip of their
+        # own at tick 15 and send again after it.
+        late = range(150, 160)
+        for tick in range(1, 31):
+            if tick == 15:
+                for tenant in late:
+                    service.assign_chip(jobs[tenant], f"chip-late-{tenant % 2}")
+            if tick == 20:
+                for job in jobs[30:40]:
+                    service.complete(job)
+                for job in jobs[190:]:
+                    service.evict(job)
+            live = {job for job, _ in service.live_analyses()}
+            scheduled = late if 2 <= tick <= 5 or (tick > 15 and tick % 3 == 0) else ()
+            picked = [*rng.choice(40, 6, replace=False), *rng.integers(40, 200, 2)]
+            senders = [
+                tenant
+                for tenant in dict.fromkeys([*picked, *scheduled])
+                if jobs[tenant] in live
+            ]
+            for tenant in senders:
+                excursion = tenant % 7 == 0 and sent[tenant] % 4 == 3
+                service.submit(
+                    jobs[tenant],
+                    _tenant_record(sent[tenant], float(scales[tenant]), excursion),
+                )
+                sent[tenant] += 1
+            service.pump()
+            called.clear()
+            monitor.observe(service, tick)
+            reference.observe(_HiddenJobs(service), tick)
+            chips = service.chip_assignments()
+            chip_drops: dict[str, float] = {}
+            for job, analysis in service.live_analyses():
+                distance = drift.observe(job, analysis)
+                if distance is not None:
+                    reference.rings.record(f"drift:{job}", tick, distance)
+                chip = chips.get(job)
+                if chip is None:
+                    continue
+                drop = sdc.observe(job, analysis)
+                if drop is not None:
+                    chip_drops[chip] = max(chip_drops.get(chip, 0.0), drop)
+            for chip, drop in chip_drops.items():
+                reference.rings.record(f"chip_sdc:{chip}", tick, drop)
+            assert monitor.rings.to_dict() == reference.rings.to_dict()
+            if tick > 1 and tick != 15:
+                assert set(called) <= {jobs[tenant] for tenant in senders}
+        drifts = monitor.rings.match("drift:")
+        assert len(drifts) > 20
+        assert any(monitor.rings.get(name).last() > 0.0 for name in drifts)
+        assert monitor.rings.get("chip_sdc:chip-late-0") is not None
+
+    def test_finished_tenants_are_forgotten(self):
+        service = FleetService()
+        jobs = [service.register("synthetic").job_id for _ in range(50)]
+        for index, job in enumerate(jobs):
+            service.assign_chip(job, f"chip-{index % 5}")
+        monitor = HealthMonitor()
+        for tick in range(1, 5):
+            for job in jobs:
+                service.submit(job, _tenant_record(tick - 1, 1.0, excursion=tick == 4))
+            service.pump()
+            monitor.observe(service, tick)
+        assert len(monitor.drift.last_distance) == len(monitor.sdc.last_drop) == 50
+        for job in jobs:
+            service.complete(job)
+        assert service.live_analyses() == []
+        monitor.observe(service, 5)
+        assert monitor.drift._totals == {} and monitor.drift.last_distance == {}
+        assert monitor.sdc._previous == {} and monitor.sdc.last_drop == {}
+        assert all(monitor.drift.baseline(job) is None for job in jobs)
+        assert all(monitor.sdc.baseline(job) is None for job in jobs)
+        # The rings keep the finished tenants' history.
+        assert len(monitor.rings.match("drift:")) == 50
 
 
 @pytest.fixture(scope="module")

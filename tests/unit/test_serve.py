@@ -1,7 +1,10 @@
 """The fleet profiling service: registry, ingestion, live analysis, queries."""
 
+import threading
+
 import pytest
 
+from repro import obs
 from repro.core.analyzer.ols import ols_labels
 from repro.core.profiler.record import ProfileRecord, StepStats
 from repro.errors import ServeError
@@ -574,6 +577,149 @@ class TestStalling:
         for _ in range(10):
             service.pump()
         assert info.state is JobState.ACTIVE
+
+    def test_deadline_counts_from_each_jobs_latest_accept(self):
+        # A job that keeps sending moves behind the quiet ones, so the
+        # stall walk still reaches a quiet job that first sent after it.
+        service = self._service(deadline=2)
+        first, second = service.register("a"), service.register("b")
+        for info in (first, second):
+            service.submit(info.job_id, _record(0, [_step(0, _OPS_A)]))
+        service.pump()  # tick 1
+        service.submit(first.job_id, _record(1, [_step(1, _OPS_A)]))
+        service.pump()  # tick 2: second's accept at tick 0 expires
+        assert second.state is JobState.STALLED
+        assert first.state is JobState.ACTIVE
+        service.pump()  # tick 3: first's accept at tick 1 expires
+        assert first.state is JobState.STALLED
+        assert service.metrics.jobs_stalled == 2
+
+
+def _pump_span(service, **kwargs):
+    """Attributes of the ``serve.pump`` span one pump records."""
+    previous = obs.set_tracing_enabled(True)
+    try:
+        service.pump(**kwargs)
+    finally:
+        obs.set_tracing_enabled(previous)
+    pumps = [s for s in obs.default_tracer().spans() if s.name == "serve.pump"]
+    return pumps[-1].attributes
+
+
+class TestReadySet:
+    """A global pump drains only the tenants with queued records."""
+
+    def test_global_pump_drains_only_queued_tenants(self):
+        service = FleetService()
+        jobs = [service.register("tiny").job_id for _ in range(6)]
+        for job in (jobs[4], jobs[1]):
+            service.submit(job, _record(0, [_step(0, _OPS_A)]))
+        span = _pump_span(service)
+        assert (span["tenants"], span["records"], span["steps"]) == (2, 2, 0)
+        assert span["stalled"] == 0
+        assert _pump_span(service)["tenants"] == 0
+
+    def test_drain_follows_registration_order(self):
+        # The quarantine ring records drain order: tenants that queued in
+        # reverse registration order still drain first-registered first.
+        service = FleetService()
+        jobs = [service.register("tiny").job_id for _ in range(3)]
+        for job in jobs:
+            service.submit(job, _record(0, [_step(0, _OPS_A), _step(1, _OPS_A)]))
+        service.pump()
+        for job in reversed(jobs):
+            service.submit(job, _record(1, [_step(0, _OPS_B)]))  # revisits step 0
+        service.pump()
+        assert [entry.job_id for entry in service.quarantined()] == jobs
+
+    def test_bounded_pump_keeps_a_tenant_ready(self):
+        service = FleetService()
+        job = service.register("tiny").job_id
+        for record in _stream_of_records(5):
+            service.submit(job, record)
+        service.pump(max_records=2)
+        assert service.queue_depth(job) == 3
+        span = _pump_span(service)
+        assert (span["tenants"], span["records"]) == (1, 3)
+        assert service.queue_depth(job) == 0
+
+    def test_job_pump_complete_and_evict_unmark(self):
+        service = FleetService()
+        pumped, done, gone = (service.register("tiny").job_id for _ in range(3))
+        for job in (pumped, done, gone):
+            service.submit(job, _record(0, [_step(0, _OPS_A)]))
+        span = _pump_span(service, job_id=pumped)
+        assert (span["tenants"], span["records"]) == (1, 1)
+        assert "stalled" not in span  # only global pumps beat the heartbeat
+        service.complete(done)
+        service.evict(gone)
+        assert _pump_span(service)["tenants"] == 0
+
+    def test_global_pump_span_counts_stalls(self):
+        service = FleetService(FleetServiceOptions(heartbeat_deadline=1))
+        jobs = [service.register("tiny").job_id for _ in range(3)]
+        for job in jobs[:2]:
+            service.submit(job, _record(0, [_step(0, _OPS_A)]))
+        assert _pump_span(service)["stalled"] == 2
+        assert service.metrics.jobs_stalled == 2
+
+
+class TestFleetServiceConcurrency:
+    def test_producers_racing_global_pumps(self):
+        # Four producer threads submit while a fifth runs global pumps
+        # with a one-tick heartbeat, so tenants stall and resume under
+        # contention. A record marked ready after its offer is never
+        # stranded: after a final pump every accepted record is ingested,
+        # and no racing producer lost or reversed a submit count.
+        service = FleetService(
+            FleetServiceOptions(queue_capacity=1024, heartbeat_deadline=1)
+        )
+        producers, tenants_each, records_each = 4, 3, 60
+        jobs = [
+            [service.register("tiny").job_id for _ in range(tenants_each)]
+            for _ in range(producers)
+        ]
+        barrier = threading.Barrier(producers + 1)
+        finished = threading.Event()
+        accepted = [0] * producers
+
+        def produce(slot):
+            barrier.wait()
+            for index in range(records_each):
+                for job in jobs[slot]:
+                    ack = service.submit(job, _record(index, [_step(index, _OPS_A)]))
+                    accepted[slot] += ack.accepted
+
+        def pump():
+            barrier.wait()
+            while not finished.is_set():
+                service.pump()
+
+        threads = [
+            threading.Thread(target=produce, args=(slot,)) for slot in range(producers)
+        ]
+        pumper = threading.Thread(target=pump)
+        for thread in threads + [pumper]:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        finished.set()
+        pumper.join()
+        service.pump()
+        total = producers * tenants_each * records_each
+        assert sum(accepted) == total
+        assert service.metrics.records_submitted == total
+        assert service.metrics.records_dropped == 0
+        assert service.metrics.records_ingested == total
+        every_job = [job for slot in jobs for job in slot]
+        assert all(service.queue_depth(job) == 0 for job in every_job)
+        assert all(
+            service.analysis(job).records_seen == records_each for job in every_job
+        )
+        stalled = sum(
+            service.registry.get(job).state is JobState.STALLED for job in every_job
+        )
+        assert service.metrics.jobs_stalled - service.metrics.jobs_resumed == stalled
 
 
 class TestPhaseSimilarity:
