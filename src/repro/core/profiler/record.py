@@ -10,10 +10,41 @@ idle time, MXU utilization) the response carries (Section III-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 from repro.errors import ProfilerError
-from repro.runtime.events import DeviceKind, StepKind, StepMetadata
+from repro.runtime.events import DeviceKind, OpBlock, StepKind, StepMetadata
 from repro.runtime.rpc import ProfileResponse
+
+
+@lru_cache(maxsize=256)
+def _fold_layout(names: tuple[str, ...], device: DeviceKind):
+    """How a block with these op names folds into per-operator totals.
+
+    Returns the distinct names in first-appearance order, their operator
+    keys and counts, the table shape ``(distinct names, 1 + most
+    occurrences)``, and for each op the flat table slot it fills: row
+    of its name, column 1 + its occurrence number. Column 0 holds the
+    operator's current total, and unused slots stay 0.0.
+    """
+    rows: dict[str, int] = {}
+    counts: list[int] = []
+    slots: list[int] = []
+    for name in names:
+        row = rows.setdefault(name, len(rows))
+        if row == len(counts):
+            counts.append(0)
+        counts[row] += 1
+        slots.append(row)
+    width = 1 + max(counts, default=0)
+    seen = [0] * len(counts)
+    for index, row in enumerate(slots):
+        seen[row] += 1
+        slots[index] = row * width + seen[row]
+    keys = tuple((name, device.value) for name in rows)
+    return tuple(rows), keys, tuple(counts), (len(counts), width), np.array(slots, dtype=np.intp)
 
 
 @dataclass
@@ -58,6 +89,35 @@ class StepStats:
             stats = OperatorStats(name=name, device=device)
             self.operators[key] = stats
         stats.observe(duration_us)
+
+    def observe_block(self, block: OpBlock) -> None:
+        """Fold a block's executions; the same result as ``observe`` on each in turn.
+
+        Each operator's total must be the same float as adding its
+        durations one by one, in log order, to its current total. The
+        durations are gathered into one row per operator, after its
+        current total, and ``np.cumsum`` adds along each row in order;
+        rows are padded with 0.0, which leaves a non-negative total
+        unchanged. A pairwise sum (``np.sum``) would round differently,
+        and so would Python's ``sum()`` from 3.12 on, which compensates.
+        """
+        names, keys, counts, shape, slots = _fold_layout(block.names, block.device)
+        operators = self.operators
+        found = [operators.get(key) for key in keys]
+        table = np.zeros(shape)
+        table.put(slots, block.durations)
+        if any(found):
+            table[:, 0] = [0.0 if stats is None else stats.total_duration_us for stats in found]
+        totals = table.cumsum(axis=1)[:, -1].tolist()
+        device = block.device
+        for name, key, count, total, stats in zip(names, keys, counts, totals, found):
+            if stats is None:
+                operators[key] = OperatorStats(
+                    name=name, device=device, count=count, total_duration_us=total
+                )
+            else:
+                stats.count += count
+                stats.total_duration_us = total
 
     def attach_metadata(self, metadata: StepMetadata) -> None:
         """Attach the device counters reported for this step."""
@@ -135,12 +195,15 @@ class ProfileRecord:
             truncated=response.truncated,
             final=response.final,
         )
-        for event in response.events:
-            step = record.steps.get(event.step)
+        for entry in response.entries:
+            step = record.steps.get(entry.step)
             if step is None:
-                step = StepStats(step=event.step)
-                record.steps[event.step] = step
-            step.observe(event.name, event.device, event.duration_us)
+                step = StepStats(step=entry.step)
+                record.steps[entry.step] = step
+            if isinstance(entry, OpBlock):
+                step.observe_block(entry)
+            else:
+                step.observe(entry.name, entry.device, entry.duration_us)
         for metadata in response.step_metadata:
             step = record.steps.get(metadata.step)
             if step is None:

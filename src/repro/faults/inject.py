@@ -90,7 +90,7 @@ class FaultyProfileService:
             # advanced. The next request re-covers the same span.
             start = self.inner.window_start_us
             return ProfileResponse(
-                events=(),
+                entries=(),
                 step_metadata=(),
                 window_start_us=start,
                 window_end_us=start,

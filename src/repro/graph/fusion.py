@@ -26,15 +26,20 @@ class FusionReport:
     ops_fused: int
 
 
-def _chain_from(graph: Graph, start: Operation, fused: set[str]) -> list[Operation]:
+def _chain_from(
+    graph: Graph,
+    consumers: dict[str, list[Operation]],
+    start: Operation,
+    fused: set[str],
+) -> list[Operation]:
     """Grow the longest fusable chain starting at ``start``."""
     chain = [start]
     current = start
     while True:
-        consumers = graph.consumers(current.name)
-        if len(consumers) != 1:
+        readers = consumers[current.name]
+        if len(readers) != 1:
             break
-        nxt = consumers[0]
+        nxt = readers[0]
         if not nxt.kind.fusable or nxt.name in fused:
             break
         # Every other input of the next op must come from outside the chain
@@ -48,15 +53,22 @@ def _chain_from(graph: Graph, start: Operation, fused: set[str]) -> list[Operati
 
 
 def fuse(graph: Graph) -> FusionReport:
-    """Fuse compute chains in place; returns what was fused."""
-    graph.validate()
+    """Fuse compute chains in place; returns what was fused.
+
+    One consumer map serves the whole pass. Each fusion updates it the
+    way the graph changes, keeping every list in graph order: the tail's
+    consumers now read the fusion op, and the chain's producers lose the
+    members and gain the fusion op, which joins the graph last.
+    """
+    order = graph.topological_order()  # validates: unknown inputs, cycles
+    consumers = graph.consumer_map()
     fused: set[str] = set()
     fusions_created = 0
     ops_fused = 0
-    for op in graph.topological_order():
+    for op in order:
         if op.name in fused or not op.kind.fusable:
             continue
-        chain = _chain_from(graph, op, fused)
+        chain = _chain_from(graph, consumers, op, fused)
         if len(chain) < 2:
             continue
         member_names = [member.name for member in chain]
@@ -94,13 +106,21 @@ def fuse(graph: Graph) -> FusionReport:
         )
         # Rewire consumers of the chain tail to read the fusion output.
         tail = chain[-1].name
-        for consumer in graph.consumers(tail):
+        tail_consumers = consumers[tail]
+        for consumer in tail_consumers:
             consumer.inputs = tuple(
                 fusion_op.name if name == tail else name for name in consumer.inputs
             )
+        members = set(member_names)
         for name in member_names:
             del graph._ops[name]  # noqa: SLF001 - pass owns the graph
+            del consumers[name]
         graph.add(fusion_op)
+        consumers[fusion_op.name] = tail_consumers
+        for name in external_inputs:
+            readers = consumers[name]
+            readers[:] = [reader for reader in readers if reader.name not in members]
+            readers.append(fusion_op)
         fusions_created += 1
         ops_fused += len(chain)
     graph.validate()

@@ -69,6 +69,19 @@ class Graph:
         self.op(name)  # validate
         return [op for op in self._ops.values() if name in op.inputs]
 
+    def consumer_map(self) -> dict[str, list[Operation]]:
+        """Every op's consumers, as :meth:`consumers` lists them, in one pass.
+
+        Passes that look up consumers once per op use this map instead of
+        rescanning the graph on every lookup.
+        """
+        consumers: dict[str, list[Operation]] = {name: [] for name in self._ops}
+        for op in self._ops.values():
+            for input_name in dict.fromkeys(op.inputs):
+                if input_name in consumers:
+                    consumers[input_name].append(op)
+        return consumers
+
     def producers(self, name: str) -> list[Operation]:
         """Operations whose outputs the named op reads."""
         return [self.op(input_name) for input_name in self.op(name).inputs]
@@ -77,13 +90,7 @@ class Graph:
 
     def validate(self) -> None:
         """Check that all inputs exist and the graph is acyclic."""
-        for op in self._ops.values():
-            for input_name in op.inputs:
-                if input_name not in self._ops:
-                    raise GraphError(
-                        f"operation {op.name!r} reads unknown input {input_name!r}"
-                    )
-        self.topological_order()  # raises on cycles
+        self.topological_order()  # raises on unknown inputs and on cycles
 
     def topological_order(self) -> list[Operation]:
         """Kahn's algorithm; raises GraphError when a cycle exists."""

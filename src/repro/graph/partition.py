@@ -49,8 +49,8 @@ class PartitionResult:
 
 def partition(graph: Graph) -> PartitionResult:
     """Assign every op to a device and collect boundary edges."""
-    graph.validate()
-    order = graph.topological_order()
+    order = graph.topological_order()  # validates: unknown inputs, cycles
+    consumers = graph.consumer_map()
     assignment: dict[str, Placement] = {}
 
     # Fixed placements first.
@@ -69,7 +69,7 @@ def partition(graph: Graph) -> PartitionResult:
             continue
         consumer_placements = {
             assignment.get(consumer.name, Placement.EITHER)
-            for consumer in graph.consumers(op.name)
+            for consumer in consumers[op.name]
         }
         if Placement.TPU in consumer_placements:
             assignment[op.name] = Placement.TPU

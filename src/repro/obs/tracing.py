@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,8 +115,8 @@ class Tracer:
 
     Storage is bounded: once ``max_spans`` finished spans are held, the
     oldest span is dropped per new arrival (the recent history is the
-    diagnostic one) and ``repro_obs_spans_dropped_total`` counts what
-    the export will be missing.
+    diagnostic one), in O(1), and ``repro_obs_spans_dropped_total``
+    counts what the export will be missing.
     """
 
     def __init__(self, enabled: bool = True, max_spans: int = DEFAULT_MAX_SPANS):
@@ -126,7 +127,7 @@ class Tracer:
         self.dropped_spans = 0
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()
-        self._spans: list[Span] = []
+        self._spans: deque[Span] = deque(maxlen=max_spans)
         self._next_id = 0
         self._local = threading.local()
 
@@ -171,11 +172,10 @@ class Tracer:
             span.duration_us = max(self._now_us() - span.start_us, 0.0)
             stack.pop()
             with self._lock:
-                self._spans.append(span)
-                if len(self._spans) > self.max_spans:
-                    del self._spans[0]
+                if len(self._spans) == self.max_spans:
                     self.dropped_spans += 1
                     _spans_dropped_counter().inc()
+                self._spans.append(span)  # a full deque drops its oldest
 
     # --- reading -----------------------------------------------------------
 

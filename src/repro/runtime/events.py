@@ -1,10 +1,12 @@
 """Trace events and the event log.
 
-A running workload emits a stream of :class:`TraceEvent` records — one per
-operator execution on either device — plus one :class:`StepMetadata`
-record per training step carrying the device counters (idle time, MXU
-FLOPs) that the real Cloud TPU attaches to profile responses. The
-:class:`EventLog` buffers both with cursor-based reads so the profile
+A running workload emits one operator execution per op on either device,
+plus one :class:`StepMetadata` record per training step carrying the
+device counters (idle time, MXU FLOPs) that the real Cloud TPU attaches
+to profile responses. Executions that run back to back — a TPU step's
+schedule, a host batch's production ops — are logged as one columnar
+:class:`OpBlock`; single runtime ops are logged as :class:`TraceEvent`
+records. The :class:`EventLog` keeps both in log order so the profile
 service can serve bounded windows without copying history.
 """
 
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import SimulationError
 
@@ -70,16 +74,91 @@ class StepMetadata:
         return min(self.tpu_idle_us / self.elapsed_us, 1.0)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class OpBlock:
+    """Operator executions of one step on one device that ran back to back.
+
+    Each op starts where the previous one ended, as laid out by
+    ``now += duration``, so ``starts[i + 1]`` equals ``starts[i] +
+    durations[i]`` exactly. ``starts`` and ``durations`` are float64
+    arrays; durations are non-negative, so ends never decrease.
+    """
+
+    names: tuple[str, ...]
+    device: DeviceKind
+    step: int
+    starts: np.ndarray
+    durations: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self.starts + self.durations
+
+    @property
+    def end_us(self) -> float:
+        """End time of the block's last execution."""
+        return float(self.starts[-1]) + float(self.durations[-1])
+
+    def cut(self, begin: int, end: int) -> "OpBlock":
+        """The executions ``begin:end`` as a block (arrays are views)."""
+        return OpBlock(
+            self.names[begin:end],
+            self.device,
+            self.step,
+            self.starts[begin:end],
+            self.durations[begin:end],
+        )
+
+    def events(self) -> list[TraceEvent]:
+        """The block as :class:`TraceEvent` records, built on each call."""
+        device, step = self.device, self.step
+        return [
+            TraceEvent(name, device, step, start, duration)
+            for name, start, duration in zip(
+                self.names, self.starts.tolist(), self.durations.tolist()
+            )
+        ]
+
+
+def expand(entries) -> list[TraceEvent]:
+    """Log entries (events and blocks) as one flat list of events."""
+    events: list[TraceEvent] = []
+    for entry in entries:
+        if isinstance(entry, OpBlock):
+            events.extend(entry.events())
+        else:
+            events.append(entry)
+    return events
+
+
 @dataclass
 class EventLog:
-    """Append-only buffer of events and step metadata."""
+    """Append-only buffer of operator executions and step metadata.
 
-    events: list[TraceEvent] = field(default_factory=list)
+    ``entries`` holds the executions in log order, each a single
+    :class:`TraceEvent` or a columnar :class:`OpBlock`; the profile
+    service serves windows straight from them. ``events`` expands them
+    into :class:`TraceEvent` records on each access, for callers that
+    want one object per execution.
+    """
+
+    entries: list[TraceEvent | OpBlock] = field(default_factory=list)
     steps: list[StepMetadata] = field(default_factory=list)
+    num_events: int = field(default=0, init=False)
 
     def append_event(self, event: TraceEvent) -> None:
         """Record an operator execution."""
-        self.events.append(event)
+        self.entries.append(event)
+        self.num_events += 1
+
+    def append_block(self, block: OpBlock) -> None:
+        """Record a block of back-to-back executions (empty blocks are dropped)."""
+        if len(block):
+            self.entries.append(block)
+            self.num_events += len(block)
 
     def append_step(self, metadata: StepMetadata) -> None:
         """Record a completed step; steps must arrive in order."""
@@ -90,22 +169,16 @@ class EventLog:
         self.steps.append(metadata)
 
     @property
-    def num_events(self) -> int:
-        return len(self.events)
+    def events(self) -> list[TraceEvent]:
+        """Every execution so far as a :class:`TraceEvent`, in log order."""
+        return expand(self.entries)
 
     @property
     def last_time_us(self) -> float:
         """End time of the latest event recorded (0 when empty)."""
-        if not self.events:
+        if not self.entries:
             return 0.0
-        return self.events[-1].end_us
-
-    def events_since(self, cursor: int, limit: int | None = None) -> tuple[list[TraceEvent], int]:
-        """Events after ``cursor``; returns (events, new_cursor)."""
-        if cursor < 0 or cursor > len(self.events):
-            raise SimulationError(f"invalid event cursor {cursor}")
-        end = len(self.events) if limit is None else min(len(self.events), cursor + limit)
-        return self.events[cursor:end], end
+        return self.entries[-1].end_us
 
     def steps_between(self, start_us: float, end_us: float) -> list[StepMetadata]:
         """Step metadata whose interval overlaps [start_us, end_us)."""

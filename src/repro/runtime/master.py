@@ -42,7 +42,8 @@ class CompiledProgram:
     """A lowered, per-step executable program.
 
     Attributes:
-        tpu_schedule: ordered TPU op work items executed each step.
+        tpu_schedule: ordered TPU op work items executed each step; a
+            tuple, so a device's cost plan for it can never go stale.
         host_ops: host-placed graph operations (run by the host worker).
         partition: the host/TPU split with boundary edges.
         folding: what constant folding removed.
@@ -50,7 +51,7 @@ class CompiledProgram:
         compile_time_us: simulated master/XLA compilation time.
     """
 
-    tpu_schedule: list[TpuOpWork]
+    tpu_schedule: tuple[TpuOpWork, ...]
     host_ops: list[Operation]
     partition: PartitionResult
     folding: FoldingReport
@@ -197,7 +198,7 @@ def compile_graph(
 
     compile_time = _COMPILE_US_PER_OP * max(len(graph), 1)
     return CompiledProgram(
-        tpu_schedule=schedule,
+        tpu_schedule=tuple(schedule),
         host_ops=part.host_ops,
         partition=part,
         folding=folding,

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ProfileServiceError
-from repro.runtime.events import EventLog, StepMetadata, TraceEvent
+from repro.runtime.events import EventLog, OpBlock, StepMetadata, TraceEvent, expand
 
 MAX_EVENTS_PER_PROFILE = 1_000_000
 MAX_PROFILE_DURATION_MS = 60_000.0
@@ -51,14 +53,19 @@ class ProfileResponse:
     """One served profile window.
 
     Attributes:
-        events: operator executions inside the window, in order.
+        entries: executions inside the window, in log order: single
+            :class:`TraceEvent` records and columnar :class:`OpBlock`
+            runs. A block that a cap cuts arrives in slices, one per
+            window. ``events`` builds one :class:`TraceEvent` per
+            execution on demand; the profiler folds the entries as they
+            are.
         step_metadata: per-step device counters overlapping the window.
         window_start_us / window_end_us: the window bounds.
         truncated: True when the event or duration cap cut the window short.
         final: True when the session is finished and the log is drained.
     """
 
-    events: tuple[TraceEvent, ...]
+    entries: tuple[TraceEvent | OpBlock, ...]
     step_metadata: tuple[StepMetadata, ...]
     window_start_us: float
     window_end_us: float
@@ -66,8 +73,13 @@ class ProfileResponse:
     final: bool
 
     @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """The window's executions as :class:`TraceEvent` records, built on each call."""
+        return tuple(expand(self.entries))
+
+    @property
     def num_events(self) -> int:
-        return len(self.events)
+        return sum(len(entry) if isinstance(entry, OpBlock) else 1 for entry in self.entries)
 
     @property
     def duration_ms(self) -> float:
@@ -79,9 +91,12 @@ class ProfileService:
     """Serves sequential profile windows over one session's event log."""
 
     log: EventLog
-    _cursor: int = 0
     _window_start_us: float = 0.0
     requests_served: int = field(default=0)
+    #: Read position in ``log.entries``: the next entry, and how many of
+    #: its executions (for a block) earlier windows already served.
+    _entry: int = field(default=0, init=False)
+    _offset: int = field(default=0, init=False)
 
     def session_finished(self) -> bool:
         """Hook the session overrides; default assumes still running."""
@@ -97,46 +112,66 @@ class ProfileService:
 
         ``finished`` tells the service the training session has ended, so
         the response drains the remaining events and is marked final.
+
+        The window stops at the first execution, in log order, that ends
+        past the duration cap or would exceed the event cap. Inside a
+        block ends never decrease, so a binary search finds that cut.
         """
         max_events = min(request.max_events, MAX_EVENTS_PER_PROFILE)
         max_duration_us = min(request.max_duration_ms, MAX_PROFILE_DURATION_MS) * 1000.0
         if finished is None:
             finished = self.session_finished()
 
-        pending, _ = self.log.events_since(self._cursor)
         window_start = self._window_start_us
         window_limit = window_start + max_duration_us
 
-        taken: list[TraceEvent] = []
+        entries = self.log.entries
+        taken: list[TraceEvent | OpBlock] = []
+        count = 0
+        window_end = None
         truncated = False
-        for event in pending:
-            if event.end_us > window_limit:
-                truncated = True
-                break
-            if len(taken) >= max_events:
-                truncated = True
-                break
-            taken.append(event)
+        index, offset = self._entry, self._offset
+        while index < len(entries):
+            entry = entries[index]
+            if isinstance(entry, OpBlock):
+                ends = entry.ends[offset:]
+                fit = int(np.searchsorted(ends, window_limit, side="right"))
+                fit = min(fit, max_events - count)
+                if fit:
+                    whole = offset == 0 and fit == len(entry)
+                    taken.append(entry if whole else entry.cut(offset, offset + fit))
+                    count += fit
+                    end = float(ends[fit - 1])
+                    window_end = end if window_end is None else max(window_end, end)
+                if offset + fit < len(entry):
+                    truncated = True
+                    offset += fit
+                    break
+            else:
+                if entry.end_us > window_limit or count >= max_events:
+                    truncated = True
+                    break
+                taken.append(entry)
+                count += 1
+                end = entry.end_us
+                window_end = end if window_end is None else max(window_end, end)
+            index += 1
+            offset = 0
 
-        if taken:
-            window_end = max(event.end_us for event in taken)
-        elif truncated:
-            window_end = window_limit
-        else:
-            window_end = max(window_start, self.log.last_time_us)
+        if window_end is None:
+            window_end = window_limit if truncated else max(window_start, self.log.last_time_us)
 
-        self._cursor += len(taken)
+        self._entry, self._offset = index, offset
         self._window_start_us = window_end
         self.requests_served += 1
 
-        remaining = self.log.num_events - self._cursor
         return ProfileResponse(
-            events=tuple(taken),
+            entries=tuple(taken),
             step_metadata=tuple(self.log.steps_between(window_start, window_end)),
             window_start_us=window_start,
             window_end_us=window_end,
             truncated=truncated,
-            final=finished and remaining == 0,
+            final=finished and index == len(entries),
         )
 
 

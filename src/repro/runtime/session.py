@@ -4,9 +4,10 @@ The session stitches every substrate together: the host input pipeline
 produces batches (with bounded-buffer backpressure controlled by the
 prefetch depth), the TPU worker consumes them step by step, checkpoints
 are written to storage on a cadence, and eval rounds interleave with
-training. Every operator lands in the event log as a timed
-:class:`TraceEvent`, and every step appends a :class:`StepMetadata`
-record — exactly the stream the TPUPoint profiler samples.
+training. Every operator lands in the event log with its start and
+duration (a step's TPU ops and a batch's host ops as one columnar block
+each), and every step appends a :class:`StepMetadata` record — exactly
+the stream the TPUPoint profiler samples.
 
 Timing model for one training step ``i`` (prefetch depth ``B``):
 

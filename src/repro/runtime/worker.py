@@ -4,16 +4,19 @@ The TensorFlow master hands subgraphs to workers, which run kernels and
 manage communication (Section II-B). Here the :class:`TpuWorker` replays
 a compiled TPU schedule on the device model, and the :class:`HostWorker`
 lays the host-side pipeline and runtime operators onto the timeline. Both
-append :class:`TraceEvent` records to the session's event log — the raw
-material the profiler samples.
+append to the session's event log — the raw material the profiler
+samples: a TPU step and a host batch as one columnar :class:`OpBlock`
+each, a single runtime op as a :class:`TraceEvent`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.host.pipeline import BatchCost
-from repro.runtime.events import DeviceKind, EventLog, TraceEvent
+from repro.runtime.events import DeviceKind, EventLog, OpBlock, TraceEvent
 from repro.runtime.master import CompiledProgram
 from repro.tpu.device import StepExecution, TpuDevice
 
@@ -32,13 +35,28 @@ class TpuWorker:
         start_us: float,
         infeed_ready_us: float,
     ) -> StepExecution:
-        """Run one step's TPU schedule and log its operator events."""
+        """Run one step's TPU schedule and log its operator events.
+
+        A clean step is logged as one block. With an SDC injector armed
+        the device runs op by op, and each op is logged as its own event.
+        """
         execution = self.device.execute_step(
             step_number=step,
             schedule=program.tpu_schedule,
             start_us=start_us,
             infeed_ready_us=infeed_ready_us,
         )
+        if self.device.sdc is None:
+            self.log.append_block(
+                OpBlock(
+                    execution.names,
+                    DeviceKind.TPU,
+                    step,
+                    execution.starts,
+                    execution.durations,
+                )
+            )
+            return execution
         for op_execution in execution.executions:
             self.log.append_event(
                 TraceEvent(
@@ -79,21 +97,23 @@ class HostWorker:
             if name == "TransferBufferToInfeedLocked":
                 blocked_index = index
                 break
-        start = ready_at_us - total
-        now = start
-        for index, (name, duration) in enumerate(op_durations):
-            if backpressure_us > 0 and index == blocked_index:
-                duration += backpressure_us
-            self.log.append_event(
-                TraceEvent(
-                    name=name,
-                    device=DeviceKind.HOST,
-                    step=step,
-                    start_us=now,
-                    duration_us=duration,
-                )
+        durations = np.array([duration for _, duration in op_durations], dtype=np.float64)
+        if backpressure_us > 0 and op_durations:
+            durations[blocked_index] += backpressure_us
+        # Lay the ops out back to back, as ``now += duration`` would.
+        times = np.empty(len(durations) + 1)
+        times[0] = ready_at_us - total
+        times[1:] = durations
+        np.add.accumulate(times, out=times)
+        self.log.append_block(
+            OpBlock(
+                tuple(name for name, _ in op_durations),
+                DeviceKind.HOST,
+                step,
+                times[:-1],
+                durations,
             )
-            now += duration
+        )
 
     def emit_op(self, name: str, step: int, start_us: float, duration_us: float) -> None:
         """Log a single host runtime operator."""

@@ -1,10 +1,18 @@
 """Simulation clock and event log."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.runtime.clock import SimClock
-from repro.runtime.events import DeviceKind, EventLog, StepKind, StepMetadata, TraceEvent
+from repro.runtime.events import (
+    DeviceKind,
+    EventLog,
+    OpBlock,
+    StepKind,
+    StepMetadata,
+    TraceEvent,
+)
 
 
 class TestClock:
@@ -58,24 +66,24 @@ class TestEventLog:
         assert log.num_events == 1
         assert log.last_time_us == 1.0
 
+    def test_blocks_expand_in_log_order(self):
+        log = EventLog()
+        log.append_event(_event())
+        block = OpBlock(("a", "b"), DeviceKind.TPU, 1, np.array([1.0, 3.0]), np.array([2.0, 0.5]))
+        log.append_block(block)
+        log.append_block(block.cut(1, 1))  # empty blocks are dropped
+        assert log.num_events == 3 and len(log.entries) == 2
+        assert log.last_time_us == 3.5
+        assert [(e.name, e.step, e.start_us, e.end_us) for e in log.events[1:]] == [
+            ("a", 1, 1.0, 3.0),
+            ("b", 1, 3.0, 3.5),
+        ]
+
     def test_steps_must_be_ordered(self):
         log = EventLog()
         log.append_step(_meta(step=1))
         with pytest.raises(SimulationError):
             log.append_step(_meta(step=1))
-
-    def test_events_since_cursor(self):
-        log = EventLog()
-        for i in range(5):
-            log.append_event(_event(step=i))
-        events, cursor = log.events_since(0, limit=3)
-        assert len(events) == 3 and cursor == 3
-        events, cursor = log.events_since(cursor)
-        assert len(events) == 2 and cursor == 5
-
-    def test_invalid_cursor(self):
-        with pytest.raises(SimulationError):
-            EventLog().events_since(1)
 
     def test_steps_between_overlap_semantics(self):
         log = EventLog()

@@ -143,3 +143,25 @@ def test_single_op_not_fused():
     g = b.build()
     report = fuse(g)
     assert report.fusions_created == 0
+
+
+def _figure_workload_graphs():
+    from repro.models.registry import PAPER_WORKLOADS, workload
+
+    for key in PAPER_WORKLOADS:
+        entry = workload(key)
+        batch = entry.model.defaults(entry.dataset).batch_size
+        yield f"{key}/train", entry.model.build_train_graph(batch, entry.dataset)
+        yield f"{key}/eval", entry.model.build_eval_graph(batch, entry.dataset)
+
+
+def test_consumer_map_matches_consumers_on_figure_workloads():
+    checked = 0
+    for label, graph in _figure_workload_graphs():
+        fold_constants(graph)
+        mapped = graph.consumer_map()
+        assert list(mapped) == [op.name for op in graph], label
+        for op in graph:
+            assert mapped[op.name] == graph.consumers(op.name), (label, op.name)
+        checked += 1
+    assert checked == 18
