@@ -4,8 +4,10 @@ A ``FleetService`` global pump drains only the tenants with queued
 records and its stall check walks only expired tenants, so a pump
 costs what was queued, not the fleet size. The sharded tier
 (``repro.serve.shard``, docs/fleet.md) splits the tenants over S
-services and pumps a shard whenever its ingest batch fills, while
-every answer stays bit-identical to the single-service path.
+services and sends each record straight to its shard; a tenant whose
+queue is full is pumped alone before its next record lands, so nothing
+is shed and every answer stays bit-identical to the single-service
+path.
 
 This bench registers 10,000 synthetic tenants, streams one record
 each through ``ShardedFleet`` at 1/2/4/8 shards, and reports:
@@ -124,7 +126,6 @@ def run_sweep(num_tenants: int, assert_floor: bool) -> list[str]:
             f"{metrics.records_dropped:>8d} {rate:>10.0f} "
             f"{p50_us:>8.1f}us {p99_us:>8.1f}us"
         )
-        fleet.close()
     best, base = throughput[max(_SHARD_COUNTS)], throughput[1]
     lines.append(
         f"throughput x{best / base:.2f} at {max(_SHARD_COUNTS)} shards vs 1 "

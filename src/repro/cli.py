@@ -808,7 +808,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print("\n-- shard topology --")
         for shard, tenants in enumerate(result.service.shard_tenants()):
             print(f"shard {shard}: {', '.join(tenants) or '-'}")
-        result.service.close()
     registries = getattr(result.service, "registries", None)
     if registries is None:
         registries = [result.service.metrics.registry]
@@ -849,9 +848,7 @@ def _cmd_goodput(args: argparse.Namespace) -> int:
     print(f"== goodput report: {len(workloads)} jobs on TPU{args.generation} ==")
     for line in result.goodput.format():
         print(line)
-    registries = result.service.registries
-    result.service.close()
-    _dump_obs(args, extra_registries=registries)
+    _dump_obs(args, extra_registries=result.service.registries)
     return 0
 
 
@@ -928,9 +925,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
                 print(line)
             print()
 
-    result = _run_monitored_fleet(
-        args, monitor, on_round=on_round if args.every > 0 else None
-    )
+    _run_monitored_fleet(args, monitor, on_round=on_round if args.every > 0 else None)
     for line in monitor.dashboard():
         print(line)
     if monitor.engine.events:
@@ -939,9 +934,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
             print(event.format())
     if args.out:
         print(f"\nwrote health dump: {_write_json(args.out, monitor.to_dict())}")
-    close = getattr(result.service, "close", None)
-    if callable(close):
-        close()
     _dump_obs(args)
     return 0
 
@@ -964,9 +956,6 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
               f"({alert.scope}) since tick {alert.since_tick}{marker}")
     if args.out:
         print(f"\nwrote alert dump: {_write_json(args.out, monitor.alerts_dict())}")
-    close = getattr(result.service, "close", None)
-    if callable(close):
-        close()
     _dump_obs(args)
     return 0
 

@@ -23,7 +23,7 @@ from repro import obs
 from repro.core.analyzer.distance import pairwise_sq_distances
 from repro.core.analyzer.elbow import find_elbow
 from repro.errors import ClusteringError
-from repro.parallel import task_rng
+from repro.rng import stream as rng_stream
 
 #: The paper's k sweep: k = 1..15 (Section IV-A).
 K_SWEEP = range(1, 16)
@@ -99,7 +99,7 @@ def kmeans(
         rng = rng or np.random.default_rng(0)
     best: KMeansResult | None = None
     for restart in range(n_init):
-        stream = rng if seed is None else task_rng(seed, restart_key(k, restart))
+        stream = rng if seed is None else rng_stream(restart_key(k, restart), seed)
         candidate = _kmeans_once(matrix, k, stream, max_iterations, tolerance)
         if best is None or candidate.inertia < best.inertia:
             best = candidate

@@ -61,8 +61,7 @@ from repro.errors import (
     QualityViolationError,
 )
 from repro.host.pipeline import PipelineConfig
-from repro.parallel import task_rng
-from repro.rng import DEFAULT_SEED
+from repro.rng import DEFAULT_SEED, stream as rng_stream
 from repro.runtime.estimator import TPUEstimator
 
 EstimatorFactory = Callable[[PipelineConfig], TPUEstimator]
@@ -146,7 +145,7 @@ class EstimatorTrialEvaluator:
     def _run(self, request: tuple[str, PipelineConfig, int]) -> CandidateTrial:
         key, config, steps = request
         estimator = self.factory(config)
-        estimator.rng = task_rng(self.seed, f"optimizer:trial:{key}")
+        estimator.rng = rng_stream(f"optimizer:trial:{key}", self.seed)
         signature = OutputSignature.of(estimator)
         if self.reference is not None and signature != self.reference:
             raise QualityViolationError(
@@ -183,7 +182,7 @@ def detect_phase_signature(
     """
     options = options or AutotuneOptions()
     estimator = factory(config)
-    estimator.rng = task_rng(options.seed, "optimizer:detect")
+    estimator.rng = rng_stream("optimizer:detect", options.seed)
     detector = CriticalPhaseDetector()
     stream = StepStream()
     profiler = TPUPointProfiler(

@@ -124,15 +124,6 @@ def ensure_core_metrics() -> None:
         "repro_analyzer_distance_passes_total",
         "Full self-pairwise distance passes over a feature matrix.",
     )
-    gauge(
-        "repro_parallel_queue_depth",
-        "Tasks submitted to the shard-pump worker pool and not yet finished.",
-    )
-    histogram(
-        "repro_parallel_task_seconds",
-        "Wall time of one worker-pool task, by pool label.",
-        labels=("pool",),
-    )
     counter(
         "repro_optimizer_trials_total",
         "Tuning trials measured, by acceptance outcome.",
@@ -164,11 +155,6 @@ def ensure_core_metrics() -> None:
     gauge(
         "repro_serve_shards",
         "Shards in the current sharded-fleet topology.",
-    )
-    counter(
-        "repro_serve_shard_pumps_total",
-        "Per-shard pump passes, by trigger (batch-full vs global drain).",
-        labels=("trigger",),
     )
     counter(
         "repro_serve_shard_rebalanced_tenants_total",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.core.profiler.record import ProfileRecord
 from repro.core.profiler.serialize import record_checksum
@@ -122,34 +122,6 @@ class IngestQueue:
             return IngestAck(
                 job_id=self.job_id, accepted=True, dropped=shed, depth=len(self._records)
             )
-
-    def offer_many(self, records: Sequence[ProfileRecord]) -> list[IngestAck]:
-        """Enqueue a batch atomically: one lock hold for the whole batch.
-
-        Per-record semantics are identical to calling :meth:`offer` in a
-        loop (same shed decisions, same counters), but a concurrent
-        producer can never interleave inside the batch — the sharded
-        tier's batched ingest path relies on this.
-        """
-        acks: list[IngestAck] = []
-        with self._lock:
-            for record in records:
-                self.submitted += 1
-                shed = 0
-                if len(self._records) >= self.capacity:
-                    self._records.popleft()
-                    self.dropped += 1
-                    shed = 1
-                self._records.append(record)
-                acks.append(
-                    IngestAck(
-                        job_id=self.job_id,
-                        accepted=True,
-                        dropped=shed,
-                        depth=len(self._records),
-                    )
-                )
-        return acks
 
     def drain(self, max_records: int | None = None) -> Iterator[ProfileRecord]:
         """Pop queued records in FIFO order (all of them by default)."""

@@ -5,15 +5,15 @@ service itself observable — ingestion volume, shed load, assembly
 progress, and query latency — in the spirit of the paper's own
 profiler-overhead accounting (Section V).
 
-Since the :mod:`repro.obs` layer landed, :class:`ServiceMetrics` is a
-facade over a :class:`~repro.obs.MetricsRegistry`: every counter is
-backed by a ``repro_serve_*`` family, so the same numbers export as
-Prometheus text or JSON (``tpupoint fleet --metrics-out``) while the
-original attribute API (``metrics.jobs_registered``, ``+=`` included)
-keeps working. Each instance owns its registry, so concurrent services
-in one process never mix counts. Query latency is real wall time from
-:func:`time.perf_counter`, the one deliberately non-deterministic
-measurement here.
+Every counter is backed by a ``repro_serve_*`` family on a
+:class:`~repro.obs.MetricsRegistry`, so the same numbers export as
+Prometheus text or JSON (``tpupoint fleet --metrics-out``). The service
+counts through the ``record_*`` methods, each an atomic ``inc`` on a
+bound counter child; readers keep the attribute API
+(``metrics.jobs_registered``), which is read-only. Each instance owns
+its registry, so concurrent services in one process never mix counts.
+Query latency is real wall time from :func:`time.perf_counter`, the one
+deliberately non-deterministic measurement here.
 
 Per-job drop counts stay bounded: when a job is evicted,
 :meth:`record_eviction` folds its entry into the ``evicted_drops``
@@ -36,16 +36,12 @@ _RECORD_EVENTS = ("submitted", "ingested", "dropped", "quarantined")
 
 
 def _counter_property(family_attr: str, event: str):
-    """An int-like read/write property over one labeled counter child."""
+    """An int-valued read-only property over one labeled counter child."""
 
     def getter(self) -> int:
         return int(getattr(self, family_attr).labels(event=event).value)
 
-    def setter(self, value: int) -> None:
-        child = getattr(self, family_attr).labels(event=event)
-        child.inc(value - child.value)  # negative deltas raise: counters go up
-
-    return property(getter, setter)
+    return property(getter)
 
 
 class ServiceMetrics:
@@ -90,19 +86,18 @@ class ServiceMetrics:
             "Snapshot query latency.",
             buckets=_QUERY_BUCKETS,
         ).labels()
-        # Zero-value samples for every known label keep exposition stable
-        # (a fresh service exposes jobs_total{event="registered"} 0, not
-        # a missing series).
-        for event in _JOB_EVENTS:
-            self._jobs.labels(event=event)
-        # Producers on other threads count records through these bound
-        # children: ``inc`` is atomic, while ``+=`` through the attribute
-        # API below is a read then a write that can lose a race.
+        # Bound children for every known label: ``inc`` on one is atomic,
+        # and binding them up front keeps exposition stable (a fresh
+        # service exposes jobs_total{event="registered"} 0, not a missing
+        # series).
+        self._job_events = {
+            event: self._jobs.labels(event=event) for event in _JOB_EVENTS
+        }
         self._record_events = {
             event: self._records.labels(event=event) for event in _RECORD_EVENTS
         }
 
-    # --- the original attribute API ----------------------------------------
+    # --- the read-only attribute API ---------------------------------------
 
     jobs_registered = _counter_property("_jobs", "registered")
     jobs_completed = _counter_property("_jobs", "completed")
@@ -118,17 +113,9 @@ class ServiceMetrics:
     def steps_assembled(self) -> int:
         return int(self._steps.value)
 
-    @steps_assembled.setter
-    def steps_assembled(self, value: int) -> None:
-        self._steps.inc(value - self._steps.value)
-
     @property
     def chips_quarantined(self) -> int:
         return int(self._chip_quarantines.value)
-
-    @chips_quarantined.setter
-    def chips_quarantined(self, value: int) -> None:
-        self._chip_quarantines.inc(value - self._chip_quarantines.value)
 
     @property
     def dropped_by_job(self) -> dict[str, int]:
@@ -170,9 +157,29 @@ class ServiceMetrics:
 
     # --- recording ---------------------------------------------------------
 
+    def record_job(self, event: str, count: int = 1) -> None:
+        """Count job lifecycle transitions of one kind.
+
+        ``event`` is ``registered``, ``completed``, ``stalled`` or
+        ``resumed``; evictions count through :meth:`record_eviction`.
+        """
+        self._job_events[event].inc(count)
+
     def record_submit(self, count: int = 1) -> None:
         """Count records submitted by producers."""
         self._record_events["submitted"].inc(count)
+
+    def record_ingest(self) -> None:
+        """Count one queued record drained into its job's analysis."""
+        self._record_events["ingested"].inc()
+
+    def record_steps(self, count: int) -> None:
+        """Count steps assembled from ingested records."""
+        self._steps.inc(count)
+
+    def record_chip_quarantine(self) -> None:
+        """Count one chip pulled from service."""
+        self._chip_quarantines.inc()
 
     def record_drop(self, job_id: str, count: int) -> None:
         """Count records shed by one job's queue."""
@@ -189,7 +196,7 @@ class ServiceMetrics:
         self._job_quarantines.labels(job=job_id).inc(count)
 
     def record_eviction(self, job_id: str) -> None:
-        """Fold an evicted job's per-tenant counts into bounded totals.
+        """Count one evicted job and fold its per-tenant counts into totals.
 
         Keeps the per-job series from growing without bound as tenants
         churn: the job's labeled drop and quarantine counters are removed
@@ -197,6 +204,7 @@ class ServiceMetrics:
         (the fleet-wide ``records_dropped`` / ``records_quarantined``
         totals already include them).
         """
+        self._job_events["evicted"].inc()
         child = self._job_drops.remove(job=job_id)
         if child is not None and child.value > 0:
             self._evicted_drops.inc(child.value)

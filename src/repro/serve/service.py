@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro import obs
 from repro.core.analyzer.analyzer import AnalysisResult
@@ -85,7 +85,7 @@ class FleetServiceOptions:
     is a ring buffer.
 
     ``wire_format`` selects the producer→service encoding that
-    :meth:`FleetService.sink` models: ``"binary"`` (default) ships each
+    :func:`wire_sink` models: ``"binary"`` (default) ships each
     record as one CRC-framed columnar block
     (:mod:`repro.core.profiler.codec`) and skips the per-record JSON
     checksum — the frame CRC is the integrity check; ``"json"`` is the
@@ -110,6 +110,62 @@ class FleetServiceOptions:
             raise ServeError(
                 f"unknown wire_format {self.wire_format!r}; use binary or json"
             )
+
+
+def wire_sink(
+    tier, job_id: str, wire_format: str, transit=None
+) -> Callable[[ProfileRecord], None]:
+    """A record callback that models one tenant's producer→service wire.
+
+    ``tier`` is a :class:`FleetService` or a
+    :class:`~repro.serve.shard.ShardedFleet`: every record ends in one
+    call on it, ``submit``, ``refuse`` or ``lose``, so both tiers see
+    the same deliveries and the same refusal reasons.
+
+    On the binary wire each record is encoded as one CRC-framed block
+    *before* ``transit`` (a :class:`repro.faults.RecordTransit` or
+    anything with the same ``apply``/``apply_frame``) touches it: a
+    corrupted or truncated frame fails to decode and is refused under a
+    header-recovered stub, never reaching the queue. The frame CRC
+    replaces the JSON object wire's per-record checksum, sparing a
+    second full JSON encode per record. On the JSON wire the
+    producer-side checksum is stamped before transit, so object-level
+    corruption is detectable at submit. Either way a transit returning
+    None models a lost record: nothing reaches the queue, but the loss
+    still counts as a submitted-then-dropped record so the ingest SLO
+    sees it.
+    """
+    if wire_format == "binary":
+        sequence = iter(range(1 << 62))
+
+        def _submit_binary(record: ProfileRecord) -> None:
+            frame = codec.encode_frame(next(sequence), record)
+            delivered = frame if transit is None else transit.apply_frame(frame)
+            if delivered is None:
+                tier.lose(job_id)
+                return
+            try:
+                decoded = codec.decode_frame(delivered)
+            except CodecError as error:
+                tier.refuse(
+                    job_id,
+                    codec.frame_stub(delivered),
+                    f"binary frame refused: {error}",
+                )
+                return
+            tier.submit(job_id, decoded)
+
+        return _submit_binary
+
+    def _submit(record: ProfileRecord) -> None:
+        checksum = record_checksum(record)
+        delivered = record if transit is None else transit.apply(record)
+        if delivered is None:
+            tier.lose(job_id)
+            return
+        tier.submit(job_id, delivered, checksum=checksum)
+
+    return _submit
 
 
 @dataclass
@@ -195,7 +251,7 @@ class FleetService:
             return []
         jobs = [job_id for job_id, assigned in self._chips.items() if assigned == chip]
         self._quarantined_chips[chip] = 1
-        self.metrics.chips_quarantined += 1
+        self.metrics.record_chip_quarantine()
         if self._ledger is not None:
             for job_id in jobs:
                 info = self.registry.get(job_id)
@@ -236,61 +292,17 @@ class FleetService:
         if self._ledger is not None:
             analysis.on_step = partial(self._ledger.observe_step, info.job_id)
         self._analyses[info.job_id] = analysis
-        self.metrics.jobs_registered += 1
+        self.metrics.record_job("registered")
         return info
 
     def sink(self, job_id: str, transit=None) -> Callable[[ProfileRecord], None]:
         """A record callback bound to one job (the producer hand-off).
 
-        On the binary wire (the default) each record is encoded as one
-        CRC-framed block *before* ``transit`` (a
-        :class:`repro.faults.RecordTransit` or anything with the same
-        ``apply``/``apply_frame``) touches it: a corrupted or truncated
-        frame fails to decode, is quarantined under a header-recovered
-        stub, and never reaches the queue — the frame CRC replaces the
-        JSON object wire's per-record checksum, sparing a second full
-        JSON encode per record. On the JSON wire the producer-side
-        checksum is stamped before transit, so object-level corruption
-        is detectable at submit. Either way a transit returning None
-        models a lost record: nothing reaches the queue, but the loss
-        still counts as a submitted-then-dropped record so the ingest
-        SLO sees it.
+        See :func:`wire_sink` for what the configured ``wire_format``
+        and an optional ``transit`` do to each record on the way in.
         """
         self.registry.get(job_id)
-        if self.options.wire_format == "binary":
-            sequence = iter(range(1 << 62))
-
-            def _submit_binary(record: ProfileRecord) -> None:
-                frame = codec.encode_frame(next(sequence), record)
-                delivered = frame if transit is None else transit.apply_frame(frame)
-                if delivered is None:
-                    self.metrics.record_submit()
-                    self.metrics.record_drop(job_id, 1)
-                    return
-                try:
-                    decoded = codec.decode_frame(delivered)
-                except CodecError as error:
-                    self.metrics.record_submit()
-                    self._quarantine_record(
-                        job_id,
-                        codec.frame_stub(delivered),
-                        f"binary frame refused: {error}",
-                    )
-                    return
-                self.submit(job_id, decoded)
-
-            return _submit_binary
-
-        def _submit(record: ProfileRecord) -> None:
-            checksum = record_checksum(record)
-            delivered = record if transit is None else transit.apply(record)
-            if delivered is None:
-                self.metrics.record_submit()
-                self.metrics.record_drop(job_id, 1)
-                return
-            self.submit(job_id, delivered, checksum=checksum)
-
-        return _submit
+        return wire_sink(self, job_id, self.options.wire_format, transit)
 
     # --- ingestion ---------------------------------------------------------
 
@@ -324,60 +336,26 @@ class FleetService:
         self.metrics.record_drop(job_id, ack.dropped)
         return ack
 
-    def submit_many(
-        self,
-        job_id: str,
-        records: Sequence[ProfileRecord],
-        checksums: Sequence[int | None] | None = None,
-    ) -> list[IngestAck]:
-        """Enqueue a batch for one job: one validation pass, one lock hold.
+    def refuse(self, job_id: str, record: ProfileRecord, reason: str) -> None:
+        """Count one delivery as submitted and quarantine it for ``reason``.
 
-        Semantically identical to calling :meth:`submit` per record —
-        same quarantine decisions, same counters, same first-record
-        activation — but records that survive validation reach the queue
-        through :meth:`IngestQueue.offer_many`, so a concurrent producer
-        can never interleave inside the batch. The sharded tier's
-        batched ingest pumps ride on this.
+        The wire sink's path for a binary frame that fails to decode:
+        ``record`` is the frame's header-recovered stub, and it never
+        reaches validation or the queue.
         """
-        if checksums is None:
-            checksums = [None] * len(records)
-        if len(checksums) != len(records):
-            raise ServeError("checksums must align one-to-one with records")
-        info = self.registry.get(job_id)
-        if not info.live:
-            raise ServeError(f"job {job_id!r} is {info.state.value}; cannot ingest")
-        if not records:
-            return []
-        self.metrics.record_submit(len(records))
-        accepted: list[ProfileRecord] = []
-        refusals: list[int] = []
-        for position, (record, checksum) in enumerate(zip(records, checksums)):
-            reason = validate_record(record, checksum=checksum)
-            if reason is None:
-                accepted.append(record)
-            else:
-                self._quarantine_record(job_id, record, reason)
-                refusals.append(position)
-        queue = self._queues[job_id]
-        queue_acks = iter(())
-        if accepted:
-            self._accept(info)
-            queue_acks = iter(queue.offer_many(accepted))
-            self._mark_ready(info)
-        refused = set(refusals)
-        acks: list[IngestAck] = []
-        for position in range(len(records)):
-            if position in refused:
-                acks.append(
-                    IngestAck(
-                        job_id=job_id, accepted=False, dropped=0, depth=queue.depth
-                    )
-                )
-            else:
-                ack = next(queue_acks)
-                self.metrics.record_drop(job_id, ack.dropped)
-                acks.append(ack)
-        return acks
+        self.registry.get(job_id)
+        self.metrics.record_submit()
+        self._quarantine_record(job_id, record, reason)
+
+    def lose(self, job_id: str) -> None:
+        """Count one record lost on the wire as submitted, then dropped.
+
+        Nothing reaches the queue, but the loss still shows in the
+        ingest counters the SLO engine reads.
+        """
+        self.registry.get(job_id)
+        self.metrics.record_submit()
+        self.metrics.record_drop(job_id, 1)
 
     def _accept(self, info: JobInfo) -> None:
         """Activate or resume the job of an accepted record; restart its heartbeat."""
@@ -386,7 +364,7 @@ class FleetService:
                 self.registry.activate(info.job_id)
             elif info.state is JobState.STALLED:
                 self.registry.resume(info.job_id)
-                self.metrics.jobs_resumed += 1
+                self.metrics.record_job("resumed")
             # Re-insert at the end: the dict stays in accept-tick order.
             self._last_accept.pop(info.job_id, None)
             self._last_accept[info.job_id] = self._tick
@@ -448,14 +426,14 @@ class FleetService:
                 analysis = self._analyses[queue.job_id]
                 for record in queue.drain(max_records):
                     drained += 1
-                    self.metrics.records_ingested += 1
+                    self.metrics.record_ingest()
                     try:
                         assembled += analysis.ingest(record)
                     except ProfilerError as error:
                         self._quarantine_record(queue.job_id, record, str(error))
                 if queue.depth:
                     self._mark_ready(self.registry.get(queue.job_id))
-            self.metrics.steps_assembled += assembled
+            self.metrics.record_steps(assembled)
             if job_id is None:
                 span.set(stalled=self._heartbeat_tick())
             span.set(tenants=len(queues), records=drained, steps=assembled)
@@ -481,7 +459,7 @@ class FleetService:
             for info in sorted(expired, key=attrgetter("sequence")):
                 del self._last_accept[info.job_id]
                 self.registry.stall(info.job_id)
-            self.metrics.jobs_stalled += len(expired)
+            self.metrics.record_job("stalled", len(expired))
         return len(expired)
 
     def complete(self, job_id: str) -> JobInfo:
@@ -493,11 +471,11 @@ class FleetService:
                 self.registry.activate(job_id)
             self.pump(job_id)
             flushed = self._analyses[job_id].finish()
-            self.metrics.steps_assembled += flushed
+            self.metrics.record_steps(flushed)
             with self._lock:
                 info = self.registry.complete(job_id)
                 self._last_accept.pop(job_id, None)
-            self.metrics.jobs_completed += 1
+            self.metrics.record_job("completed")
             return info
 
     def evict(self, job_id: str) -> JobInfo:
@@ -514,7 +492,6 @@ class FleetService:
         self._queues.pop(job_id, None)
         self._analyses.pop(job_id, None)
         self._chips.pop(job_id, None)
-        self.metrics.jobs_evicted += 1
         self.metrics.record_eviction(job_id)
         return info
 

@@ -1,9 +1,9 @@
 """repro.serve.shard — the horizontally sharded fleet tier.
 
 Tenants route to N independent :class:`~repro.serve.FleetService`
-shards over a seeded consistent-hash ring; ingest batches per shard and
-pumps on a worker pool; queries scatter-gather back into the exact
-order a single service would report; and a fleet-wide
+shards over a seeded consistent-hash ring; each record goes straight to
+its shard, which never sheds it; queries scatter-gather back into the
+exact order a single service would report; and a fleet-wide
 :class:`GoodputLedger` classifies every tenant's wall time into
 productive goodput vs badput buckets. See ``docs/fleet.md``.
 """
@@ -18,7 +18,6 @@ from repro.serve.shard.ledger import (
 )
 from repro.serve.shard.ring import DEFAULT_REPLICAS, HashRing
 from repro.serve.shard.sharded import (
-    DEFAULT_BATCH_SIZE,
     AggregateMetrics,
     ShardedFleet,
     ShardedFleetOptions,
@@ -28,7 +27,6 @@ __all__ = [
     "ALL_BUCKETS",
     "AggregateMetrics",
     "BADPUT_BUCKETS",
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_REPLICAS",
     "GOODPUT_BUCKET",
     "GoodputLedger",

@@ -8,23 +8,21 @@ across N independent ``FleetService`` shards:
 * tenants route to shards via a seeded consistent-hash
   :class:`~repro.serve.shard.ring.HashRing` — deterministic at any
   shard count, stable under resize;
-* ingest is batched per shard; a full batch flushes through
-  ``FleetService.submit_many`` and immediately pumps *that shard only*,
-  so queue depth never exceeds the batch size (the **no-drop invariant**:
-  with ``batch_size <= queue_capacity`` the sharded path never sheds a
-  record, which is what makes its results bit-identical to a single
-  service's);
-* per-shard pumps fan out on a :class:`~repro.parallel.WorkerPool`, so
-  a global drain touches shards concurrently but merges results
-  deterministically;
-* queries scatter to the owning shard (per-job) or to every shard
-  (fleet snapshot, fleet-wide phase similarity, tuning priors) and
-  gather in global registration order — the same order a single
-  service would report;
+* each delivery goes straight to the owning shard. A record for a
+  tenant whose queue is full first pumps that one tenant, so the
+  sharded path never sheds a record (the **no-drop invariant**), and a
+  per-tenant pump never advances a heartbeat. Results are therefore
+  bit-identical to one service's whenever that service would shed
+  nothing;
+* global pumps and scatter-gather queries visit the shards inline, in
+  order; per-job queries go to the owning shard, and fleet-wide ones
+  (fleet snapshot, phase similarity, tuning priors) gather in global
+  registration order — the same order a single service would report;
 * :meth:`resize` rebalances by replay: the fleet settles, every
-  tenant's journaled submissions replay into fresh shards on the new
-  ring, and the goodput ledger attaches only *after* replay so no
-  tenant's wall time is ever double-charged.
+  tenant's journaled deliveries replay into fresh shards on the new
+  ring through the calls that first applied them, and the goodput
+  ledger attaches only *after* replay so no tenant's wall time is ever
+  double-charged.
 
 The fleet owns one :class:`~repro.serve.shard.ledger.GoodputLedger`
 shared by all shards, so goodput/badput accounting stays fleet-wide
@@ -39,11 +37,8 @@ from typing import Callable
 from repro import obs
 from repro.core.analyzer.analyzer import AnalysisResult
 from repro.core.optimizer.knowledge import TuningKnowledgeBase
-from repro.core.profiler import codec
 from repro.core.profiler.record import ProfileRecord
-from repro.core.profiler.serialize import record_checksum
-from repro.errors import CodecError, ServeError, ShardError, UnknownJobError
-from repro.parallel import WorkerPool
+from repro.errors import ServeError, ShardError, UnknownJobError
 from repro.serve.ingest import IngestAck
 from repro.serve.live import LiveJobAnalysis
 from repro.serve.query import FleetSnapshot, JobSnapshot, fleet_snapshot
@@ -53,22 +48,15 @@ from repro.serve.service import (
     FleetServiceOptions,
     QuarantinedRecord,
     TuningPrior,
+    wire_sink,
 )
 from repro.serve.shard.ledger import GoodputLedger, GoodputReport, TenantLedger
 from repro.serve.shard.ring import DEFAULT_REPLICAS, HashRing
 from repro.rng import DEFAULT_SEED
 from repro.tpu.specs import TpuGeneration
 
-#: Records buffered per shard before a flush + shard pump.
-DEFAULT_BATCH_SIZE = 32
-
 _SHARDS_GAUGE = obs.gauge(
     "repro_serve_shards", "Shards in the current sharded-fleet topology."
-)
-_SHARD_PUMPS = obs.counter(
-    "repro_serve_shard_pumps_total",
-    "Per-shard pump passes, by trigger (batch-full vs global drain).",
-    labels=("trigger",),
 )
 _REBALANCED = obs.counter(
     "repro_serve_shard_rebalanced_tenants_total",
@@ -95,37 +83,39 @@ _AGGREGATE_KEYS = (
 
 @dataclass(frozen=True)
 class ShardedFleetOptions:
-    """Configuration of one sharded fleet.
-
-    ``batch_size`` is clamped to the per-job queue capacity so a flush
-    can never overflow a queue — the no-drop invariant the rebalance
-    bit-identity guarantee rests on. ``workers`` sizes the pump pool
-    (default: one worker per shard, capped at 8).
-    """
+    """Configuration of one sharded fleet."""
 
     shards: int = 2
-    batch_size: int = DEFAULT_BATCH_SIZE
     seed: int = DEFAULT_SEED
     replicas: int = DEFAULT_REPLICAS
+    #: Shards pump inline; kept, as None or 1 only, for callers passing 1.
     workers: int | None = None
     service: FleetServiceOptions = field(default_factory=FleetServiceOptions)
 
     def __post_init__(self) -> None:
         if self.shards <= 0:
             raise ShardError("a sharded fleet needs at least one shard")
-        if self.batch_size <= 0:
-            raise ShardError("batch_size must be positive")
-        if self.workers is not None and self.workers <= 0:
-            raise ShardError("workers must be positive when set")
+        if self.workers not in (None, 1):
+            raise ShardError("shards pump inline: workers must be None or 1")
+
+
+def _submit(
+    service: FleetService, job_id: str, record: ProfileRecord, checksum: int | None
+) -> IngestAck:
+    """Submit to a shard without shedding: a full queue first pumps its tenant."""
+    if service.queue_depth(job_id) >= service.options.queue_capacity:
+        service.pump(job_id)
+    return service.submit(job_id, record, checksum=checksum)
 
 
 @dataclass
 class _TenantEntry:
     """The fleet-level view of one tenant: placement plus its journal.
 
-    The journal holds every submission (record, producer checksum) in
-    order — including ones the shard quarantined, since quarantine
-    decisions are deterministic and must reproduce on replay.
+    The journal holds every delivery in arrival order as the call that
+    applied it to the owning shard plus that call's arguments:
+    submissions, refusals and wire losses alike, since each decision is
+    deterministic and must reproduce on replay.
     """
 
     job_id: str
@@ -134,7 +124,7 @@ class _TenantEntry:
     start_step: int
     sequence: int
     shard: int
-    journal: list[tuple[ProfileRecord, int | None]] = field(default_factory=list)
+    journal: list[tuple[Callable[..., object], tuple]] = field(default_factory=list)
     completed: bool = False
 
 
@@ -156,27 +146,17 @@ class ShardedFleet:
         )
         self.ledger = GoodputLedger()
         self.shards: list[FleetService] = []
-        self._batches: list[list[tuple[str, ProfileRecord, int | None]]] = []
         self._knowledge: TuningKnowledgeBase | None = None
         self._build_shards(self.options.shards)
-        workers = self.options.workers
-        if workers is None:
-            workers = min(self.options.shards, 8)
-        self._pool = WorkerPool(workers, label="serve-shard")
         self._tenants: dict[str, _TenantEntry] = {}
         self._sequence = 0
         self._chips: dict[str, str] = {}  # fleet-level job -> chip
         self._quarantined_chips: dict[str, int] = {}  # deduped across shards
-        # Flushes can never shed: a full batch fits the queue whole.
-        self.batch_size = min(
-            self.options.batch_size, self.options.service.queue_capacity
-        )
 
     def _build_shards(self, count: int) -> None:
         self.shards = [
             FleetService(options=self.options.service) for _ in range(count)
         ]
-        self._batches = [[] for _ in range(count)]
         if self._knowledge is not None:
             for service in self.shards:
                 service.attach_knowledge(self._knowledge)
@@ -184,17 +164,8 @@ class ShardedFleet:
             service.attach_ledger(self.ledger)
         _SHARDS_GAUGE.labels().set(count)
 
-    # --- lifecycle ---------------------------------------------------------
-
-    def __enter__(self) -> "ShardedFleet":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def close(self) -> None:
-        """Stop the pump pool (idempotent)."""
-        self._pool.shutdown()
+        """No-op: shards pump inline; kept for callers that still call it."""
 
     @property
     def num_shards(self) -> int:
@@ -251,143 +222,60 @@ class ShardedFleet:
         return tenants
 
     def sink(self, job_id: str, transit=None) -> Callable[[ProfileRecord], None]:
-        """A record callback bound to one tenant (see ``FleetService.sink``).
+        """A record callback bound to one tenant (see :func:`wire_sink`).
 
-        On the binary wire a frame that fails to decode is routed
-        through the normal journaled submit path as its header-recovered
-        stub with a deliberately poisoned checksum: the shard refuses
-        and quarantines it like any corrupt record, the journal retains
-        the refusal, and a :meth:`resize` replay reproduces the
-        quarantine decision deterministically.
+        Submissions, refused frames and wire losses all land in the
+        tenant's journal, so a :meth:`resize` replays each of them.
         """
         self._entry(job_id)
-        if self.options.service.wire_format == "binary":
-            sequence = iter(range(1 << 62))
-
-            def _submit_binary(record: ProfileRecord) -> None:
-                frame = codec.encode_frame(next(sequence), record)
-                delivered = frame if transit is None else transit.apply_frame(frame)
-                if delivered is None:
-                    # Charge the wire loss to the owning shard so the
-                    # aggregate submitted/dropped counters stay
-                    # shard-invariant (see FleetService.sink).
-                    metrics = self.shards[self._entry(job_id).shard].metrics
-                    metrics.record_submit()
-                    metrics.record_drop(job_id, 1)
-                    return
-                try:
-                    decoded = codec.decode_frame(delivered)
-                except CodecError:
-                    stub = codec.frame_stub(delivered)
-                    self.submit(
-                        job_id, stub, checksum=record_checksum(stub) ^ 1
-                    )
-                    return
-                self.submit(job_id, decoded)
-
-            return _submit_binary
-
-        def _submit(record: ProfileRecord) -> None:
-            checksum = record_checksum(record)
-            delivered = record if transit is None else transit.apply(record)
-            if delivered is None:
-                # Charge the wire loss to the owning shard so the
-                # aggregate submitted/dropped counters stay
-                # shard-invariant (see FleetService.sink).
-                metrics = self.shards[self._entry(job_id).shard].metrics
-                metrics.record_submit()
-                metrics.record_drop(job_id, 1)
-                return
-            self.submit(job_id, delivered, checksum=checksum)
-
-        return _submit
+        return wire_sink(self, job_id, self.options.service.wire_format, transit)
 
     # --- ingestion ---------------------------------------------------------
 
     def submit(
         self, job_id: str, record: ProfileRecord, checksum: int | None = None
-    ) -> IngestAck | None:
-        """Journal and buffer one record; a full batch pumps its shard.
+    ) -> IngestAck:
+        """Submit one record to the owning shard and journal it.
 
-        Returns the record's :class:`IngestAck` when its batch flushed
-        on this call, or None while it sits buffered (``pump`` /
-        ``flush`` will deliver it).
+        A tenant whose queue is full is pumped alone first, so the
+        record is never shed (see the module docstring).
         """
+        return self._deliver(job_id, _submit, record, checksum)
+
+    def refuse(self, job_id: str, record: ProfileRecord, reason: str) -> None:
+        """Quarantine a refused delivery on the owning shard and journal it."""
+        self._deliver(job_id, FleetService.refuse, record, reason)
+
+    def lose(self, job_id: str) -> None:
+        """Count a wire loss on the owning shard and journal it."""
+        self._deliver(job_id, FleetService.lose)
+
+    def _deliver(self, job_id: str, apply: Callable[..., object], *args):
+        """Apply one delivery to the owning shard; journal it once it applied."""
         entry = self._entry(job_id)
-        if entry.completed:
-            raise ServeError(f"job {job_id!r} is completed; cannot ingest")
-        entry.journal.append((record, checksum))
-        batch = self._batches[entry.shard]
-        batch.append((job_id, record, checksum))
-        if len(batch) >= self.batch_size:
-            acks = self._flush_shard(entry.shard)
-            self.shards[entry.shard].pump()
-            _SHARD_PUMPS.labels(trigger="batch").inc()
-            return acks[-1]
-        return None
-
-    def _flush_shard(self, shard: int) -> list[IngestAck]:
-        """Offer a shard's buffered batch, preserving per-tenant order."""
-        batch = self._batches[shard]
-        if not batch:
-            return []
-        self._batches[shard] = []
-        service = self.shards[shard]
-        grouped: dict[str, list[tuple[ProfileRecord, int | None]]] = {}
-        for job_id, record, checksum in batch:
-            grouped.setdefault(job_id, []).append((record, checksum))
-        acks_by_job = {
-            job_id: iter(
-                service.submit_many(
-                    job_id,
-                    [record for record, _ in items],
-                    checksums=[checksum for _, checksum in items],
-                )
-            )
-            for job_id, items in grouped.items()
-        }
-        return [next(acks_by_job[job_id]) for job_id, _, _ in batch]
-
-    def flush(self) -> int:
-        """Offer every buffered batch to its shard; returns records moved."""
-        moved = 0
-        for shard in range(self.num_shards):
-            moved += len(self._batches[shard])
-            self._flush_shard(shard)
-        return moved
+        result = apply(self.shards[entry.shard], job_id, *args)
+        entry.journal.append((apply, args))
+        return result
 
     def pump(self, job_id: str | None = None, max_records: int | None = None) -> int:
-        """Flush buffers and drain: one tenant's shard, or all shards.
+        """Drain one tenant on its shard, or every shard in turn.
 
-        A global pump fans the per-shard drains out on the worker pool;
-        the returned step count is the deterministic sum across shards.
+        Returns the number of steps assembled, summed across shards.
         """
         if job_id is not None:
-            entry = self._entry(job_id)
-            self._flush_shard(entry.shard)
-            return self.shards[entry.shard].pump(job_id, max_records)
-        for shard in range(self.num_shards):
-            self._flush_shard(shard)
-        steps = self._pool.map(
-            lambda service: service.pump(None, max_records), self.shards
-        )
-        _SHARD_PUMPS.labels(trigger="drain").inc(self.num_shards)
-        return sum(steps)
+            return self.shards[self._entry(job_id).shard].pump(job_id, max_records)
+        return sum(service.pump(None, max_records) for service in self.shards)
 
     def complete(self, job_id: str) -> JobInfo:
-        """Flush, drain, and close one tenant."""
+        """Drain and close one tenant on its shard."""
         entry = self._entry(job_id)
-        self._flush_shard(entry.shard)
         info = self.shards[entry.shard].complete(job_id)
         entry.completed = True
         return info
 
     def evict(self, job_id: str) -> JobInfo:
-        """Discard a tenant's live state, buffered records, and journal."""
+        """Discard a tenant's live state and its journal."""
         entry = self._entry(job_id)
-        self._batches[entry.shard] = [
-            item for item in self._batches[entry.shard] if item[0] != job_id
-        ]
         info = self.shards[entry.shard].evict(job_id)
         del self._tenants[job_id]
         self._chips.pop(job_id, None)
@@ -504,9 +392,7 @@ class ShardedFleet:
         is bit-identical to the unsharded fleet's.
         """
         with obs.trace("serve.shard.fleet_snapshot", shards=self.num_shards):
-            shard_snaps = self._pool.map(
-                lambda service: service.fleet_snapshot(), self.shards
-            )
+            shard_snaps = [service.fleet_snapshot() for service in self.shards]
             by_job = {
                 snap.job_id: snap for shard in shard_snaps for snap in shard.jobs
             }
@@ -525,17 +411,12 @@ class ShardedFleet:
         Scatters per tenant to the owning shard; rows come back as
         ``(job_id, phase_a, phase_b, distance)`` in registration order.
         """
-        tenants = self._ordered_tenants()
-        gathered = self._pool.map(
-            lambda entry: self.shards[entry.shard].similar_phases(
-                entry.job_id, threshold
-            ),
-            tenants,
-        )
         return [
             (entry.job_id, a, b, distance)
-            for entry, pairs in zip(tenants, gathered)
-            for a, b, distance in pairs
+            for entry in self._ordered_tenants()
+            for a, b, distance in self.shards[entry.shard].similar_phases(
+                entry.job_id, threshold
+            )
         ]
 
     def fleet_tuning_priors(
@@ -547,14 +428,14 @@ class ShardedFleet:
         registration order, then phase id — fully deterministic.
         """
         tenants = self._ordered_tenants()
-        gathered = self._pool.map(
-            lambda entry: self.shards[entry.shard].tuning_priors(
-                entry.job_id, threshold=threshold, top_k=top_k
-            ),
-            tenants,
-        )
         order = {entry.job_id: entry.sequence for entry in tenants}
-        priors = [prior for found in gathered for prior in found]
+        priors = [
+            prior
+            for entry in tenants
+            for prior in self.shards[entry.shard].tuning_priors(
+                entry.job_id, threshold=threshold, top_k=top_k
+            )
+        ]
         priors.sort(
             key=lambda prior: (
                 -prior.similarity,
@@ -631,10 +512,11 @@ class ShardedFleet:
     def resize(self, shards: int) -> int:
         """Re-shard the fleet by journal replay; returns tenants moved.
 
-        The fleet settles (flush + full drain), every tenant re-registers
-        on the shard the resized ring assigns it, and its journal replays
-        in batch-sized chunks with a pump after each — reproducing queue
-        counters, quarantine decisions, and analyses bit-for-bit. The
+        The fleet settles (a full drain, so the ledger has charged every
+        queued step), every tenant re-registers on the shard the resized
+        ring assigns it, and its journal replays through the calls that
+        first applied it, then drains — reproducing the record counters,
+        quarantine decisions, and analyses bit-for-bit. The
         shared ledger attaches to the fresh shards only *after* replay,
         so no step or quarantine is charged twice. Completed tenants are
         re-completed; stalled tenants resume ACTIVE (heartbeat clocks
@@ -645,7 +527,7 @@ class ShardedFleet:
         with obs.trace(
             "serve.shard.resize", shards_from=self.num_shards, shards_to=shards
         ):
-            self.pump()  # settle: nothing buffered, nothing queued
+            self.pump()  # settle: nothing queued, every step charged
             ring = self.ring.resized(shards)
             services = [
                 FleetService(options=self.options.service) for _ in range(shards)
@@ -665,14 +547,9 @@ class ShardedFleet:
                     job_id=entry.job_id,
                     start_step=entry.start_step,
                 )
-                for start in range(0, len(entry.journal), self.batch_size):
-                    chunk = entry.journal[start : start + self.batch_size]
-                    service.submit_many(
-                        entry.job_id,
-                        [record for record, _ in chunk],
-                        checksums=[checksum for _, checksum in chunk],
-                    )
-                    service.pump(entry.job_id)
+                for apply, args in entry.journal:
+                    apply(service, entry.job_id, *args)
+                service.pump(entry.job_id)
                 if entry.completed:
                     service.complete(entry.job_id)
                 entry.shard = target
@@ -699,7 +576,6 @@ class ShardedFleet:
                 service.attach_ledger(self.ledger)
             self.shards = services
             self.ring = ring
-            self._batches = [[] for _ in range(shards)]
             _SHARDS_GAUGE.labels().set(shards)
             _REBALANCED.labels().inc(moved)
             return moved

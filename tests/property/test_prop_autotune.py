@@ -3,16 +3,18 @@
 Two properties pin the offline engine's contracts:
 
 1. **Worker counts never change answers.** Annealing and racing draw all
-   randomness from the driver RNG and per-trial substreams, and the pool
-   returns results in submission order — so the full trial sequence
-   (keys, configs, measurements) and the chosen best must be
-   bit-identical at 1, 2, and 4 workers, for any seed.
+   randomness from the search's own RNG and per-trial substreams, and an
+   executor's ``map`` returns results in submission order — so the full
+   trial sequence (keys, configs, measurements) and the chosen best must
+   be bit-identical at 1, 2, and 4 worker threads, for any seed.
 2. **A knowledge-base hit never buys speed with correctness.** Whatever
    valid knob combination a stored entry carries, applying it to a base
    configuration must leave the training run's output signature exactly
    where :class:`QualityController` pinned it — tuning knobs are
    performance-only by construction.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +27,7 @@ from repro.core.optimizer.strategies import (
 )
 from repro.host.pipeline import PipelineConfig
 from repro.models.naive import naive_pipeline_config
-from repro.parallel import WorkerPool, task_rng
+from repro.rng import stream as rng_stream
 from tests.conftest import TINY_DATASET, TinyModel
 
 _WORKER_WIDTHS = (1, 2, 4)
@@ -39,7 +41,7 @@ class PureEvaluator:
     a pure function of (seed, key, config) — never of scheduling.
     """
 
-    def __init__(self, seed: int, pool: WorkerPool):
+    def __init__(self, seed: int, pool: ThreadPoolExecutor):
         self.seed = seed
         self.pool = pool
 
@@ -53,20 +55,20 @@ class PureEvaluator:
             + 0.10 * config.num_parallel_reads
             + (2.0 if config.vectorized_preprocess else 0.0)
         )
-        jitter = 1.0 + 0.01 * float(task_rng(self.seed, f"pure:{key}").random())
+        jitter = 1.0 + 0.01 * float(rng_stream(f"pure:{key}", self.seed).random())
         return CandidateTrial(
             key=key, config=config, steps=steps,
             elapsed_us=1e6 / speed * jitter * steps,
         )
 
     def evaluate(self, requests):
-        return self.pool.map(self._run, list(requests))
+        return list(self.pool.map(self._run, requests))
 
 
 def _trial_tuples(strategy_name, options, seed, workers):
     start = naive_pipeline_config()
     strategy = build_strategy(strategy_name, **options)
-    with WorkerPool(workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         outcome = strategy.search(
             discover_parameters(start), start, PureEvaluator(seed, pool), seed
         )

@@ -7,8 +7,9 @@ tenant populations and record streams:
   (tenant id, seed, shard count), and growing it strands as few
   tenants as consistent hashing promises;
 * scatter-gather queries through a :class:`ShardedFleet` are
-  bit-identical to one :class:`FleetService` at 1, 2, and 8 shards —
-  shard topology can never leak into an answer;
+  bit-identical to one :class:`FleetService` at 1, 2, and 8 shards,
+  round after round and under a heartbeat deadline — shard topology
+  can never leak into an answer or a lifecycle state;
 * per-tenant goodput buckets always sum to the tenant's total charged
   wall time (every charge lands in exactly one bucket);
 * one service's ready-set pump and accept-ordered heartbeat leave the
@@ -61,11 +62,12 @@ def _record(index, mix, idle_us):
     return record
 
 
-#: Per-tenant streams: each element is (behaviour mix, idle microseconds).
-streams = st.lists(
-    st.tuples(st.integers(0, 1), st.floats(0.0, 100.0)),
+#: Per-tenant rounds: each lists the records, as (behaviour mix, idle
+#: microseconds), that the tenant sends before that round's global pump.
+rounds = st.lists(
+    st.lists(st.tuples(st.integers(0, 1), st.floats(0.0, 100.0)), max_size=4),
     min_size=1,
-    max_size=6,
+    max_size=4,
 )
 
 
@@ -92,32 +94,57 @@ def test_resize_strands_only_arc_claimed_tenants(shards, seed):
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.dictionaries(st.sampled_from("abcdef"), streams, min_size=1, max_size=4))
-def test_scatter_gather_identical_at_any_shard_count(population):
-    def drive(service):
+@given(
+    st.dictionaries(st.sampled_from("abcdef"), rounds, min_size=1, max_size=4),
+    st.one_of(st.none(), st.integers(1, 5)),
+)
+# A tenant with a busy neighbour must not age faster on a shard: b sends
+# one record, then a sends 40 in each of three rounds. One service pumps
+# three times and never stalls b.
+@example(population={"b": [[(0, 0.0)]], "a": [[(0, 0.0)] * 40] * 3}, deadline=5)
+def test_scatter_gather_identical_at_any_shard_count(population, deadline):
+    options = FleetServiceOptions(heartbeat_deadline=deadline)
+    single = FleetService(options)
+    fleets = [
+        ShardedFleet(ShardedFleetOptions(shards=shards, service=options))
+        for shards in (1, 2, 8)
+    ]
+    for service in [single] + fleets:
         for tenant in population:
             service.register("bert-mrpc", job_id=tenant)
-        for tenant, stream in population.items():
-            for index, (mix, idle) in enumerate(stream):
-                record = _record(index, mix, idle)
+
+    def play(service, round_index):
+        for tenant, sends in population.items():
+            if round_index >= len(sends):
+                continue
+            first = sum(len(batch) for batch in sends[:round_index])
+            for offset, (mix, idle) in enumerate(sends[round_index]):
+                record = _record(first + offset, mix, idle)
                 service.submit(tenant, record, checksum=record_checksum(record))
         service.pump()
+
+    def lifecycle(service):
+        metrics = service.metrics
+        snapshots = [service.job_snapshot(tenant) for tenant in population]
+        return snapshots, metrics.jobs_stalled, metrics.jobs_resumed
+
+    for round_index in range(max(len(sends) for sends in population.values())):
+        for service in [single] + fleets:
+            play(service, round_index)
+        for fleet in fleets:
+            assert lifecycle(fleet) == lifecycle(single)
+    for service in [single] + fleets:
         for tenant in population:
             service.complete(tenant)
-
-    single = FleetService()
-    drive(single)
     reference = single.fleet_snapshot()
-    for shards in (1, 2, 8):
-        with ShardedFleet(ShardedFleetOptions(shards=shards)) as fleet:
-            drive(fleet)
-            assert fleet.fleet_snapshot() == reference
-            for tenant in population:
-                assert fleet.job_snapshot(tenant) == single.job_snapshot(tenant)
-                assert fleet.similar_phases(tenant) == single.similar_phases(tenant)
-            report = fleet.goodput_report()
-            for row in report.tenants:
-                assert abs(row.total_us - (row.goodput_us + row.badput_us)) < 1e-6
+    for fleet in fleets:
+        assert fleet.fleet_snapshot() == reference
+        for tenant in population:
+            assert fleet.job_snapshot(tenant) == single.job_snapshot(tenant)
+            assert fleet.similar_phases(tenant) == single.similar_phases(tenant)
+        report = fleet.goodput_report()
+        for row in report.tenants:
+            assert abs(row.total_us - (row.goodput_us + row.badput_us)) < 1e-6
 
 
 class _ScanModel:
@@ -146,24 +173,18 @@ class _ScanModel:
     def live(self, tenant):
         return self.state[tenant] in ("registered", "active", "stalled")
 
-    def submit(self, tenant, records):
-        accepted = []
-        for record in records:
-            if record.index < 0:
-                self.quarantine.append((tenant, record.index))
-            else:
-                accepted.append(record)
-        if not accepted:
+    def submit(self, tenant, record):
+        if record.index < 0:
+            self.quarantine.append((tenant, record.index))
             return
         if self.state[tenant] == "stalled":
             self.resumed += 1
         self.state[tenant] = "active"
         self.last_accept[tenant] = self.tick
-        for record in accepted:
-            if len(self.queue[tenant]) >= self.capacity:
-                self.queue[tenant].popleft()
-                self.dropped += 1
-            self.queue[tenant].append(record)
+        if len(self.queue[tenant]) >= self.capacity:
+            self.queue[tenant].popleft()
+            self.dropped += 1
+        self.queue[tenant].append(record)
 
     def _fold(self, tenant, record):
         (step,) = record.steps
@@ -220,26 +241,26 @@ class _ScanModel:
 _SUBMISSION = st.tuples(st.integers(0, 3), st.integers(0, 3).map(bool))
 #: Operation kinds, weighted towards submits and global pumps so that
 #: tenants live long enough to interleave.
-_KINDS = (
-    ("submit",) * 3
-    + ("submit_many",) * 2
-    + ("pump",) * 3
-    + ("pump_bounded", "pump_job", "complete", "evict")
+_KINDS = ("submit",) * 3 + ("pump",) * 3 + (
+    "pump_bounded",
+    "pump_job",
+    "complete",
+    "evict",
 )
-#: (kind, tenant, submissions, max_records); each kind reads what it needs.
+#: (kind, tenant, submission, max_records); each kind reads what it needs.
 _OPERATIONS = st.tuples(
     st.sampled_from(_KINDS),
     st.integers(0, 7),
-    st.lists(_SUBMISSION, min_size=1, max_size=3),
+    _SUBMISSION,
     st.integers(1, 3),
 )
 
 
 def _submit(tenant, step):
-    return ("submit", tenant, [(step, True)], 1)
+    return ("submit", tenant, (step, True), 1)
 
 
-_PUMP = ("pump", 0, [(0, True)], 1)
+_PUMP = ("pump", 0, (0, True), 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -280,13 +301,10 @@ def test_ready_set_pump_matches_the_full_scan(tenants, capacity, deadline, opera
     model = _ScanModel(names, capacity, deadline, quarantine_capacity=5)
     serial = iter(range(1, 1 << 30))
 
-    def records(submissions):
-        made = []
-        for step, sound in submissions:
-            record = _record(step, 0, 0.0)
-            record.index = next(serial) if sound else -next(serial)
-            made.append(record)
-        return made
+    def make_record(step, sound):
+        record = _record(step, 0, 0.0)
+        record.index = next(serial) if sound else -next(serial)
+        return record
 
     def matches():
         assert [service.registry.get(n).state.value for n in names] == [
@@ -308,7 +326,7 @@ def test_ready_set_pump_matches_the_full_scan(tenants, capacity, deadline, opera
             metrics.jobs_resumed,
         ) == (model.ingested, model.dropped, model.steps, model.stalled, model.resumed)
 
-    for kind, tenant_index, submissions, bound in operations:
+    for kind, tenant_index, submission, bound in operations:
         tenant = names[tenant_index % tenants]
         if kind in ("pump", "pump_bounded"):
             bound = bound if kind == "pump_bounded" else None
@@ -328,10 +346,7 @@ def test_ready_set_pump_matches_the_full_scan(tenants, capacity, deadline, opera
             service.complete(tenant)
             model.complete(tenant)
         else:
-            batch = records(submissions[:1] if kind == "submit" else submissions)
-            if kind == "submit":
-                service.submit(tenant, batch[0])
-            else:
-                service.submit_many(tenant, batch)
-            model.submit(tenant, batch)
+            record = make_record(*submission)
+            service.submit(tenant, record)
+            model.submit(tenant, record)
         matches()

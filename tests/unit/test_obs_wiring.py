@@ -95,8 +95,8 @@ class TestAnalyzerWiring:
 class TestServiceMetricsOnRegistry:
     def test_attribute_api_preserved(self):
         metrics = ServiceMetrics()
-        metrics.jobs_registered += 2
-        metrics.records_submitted += 10
+        metrics.record_job("registered", 2)
+        metrics.record_submit(10)
         metrics.record_drop("job/0", 3)
         assert metrics.jobs_registered == 2
         assert metrics.records_dropped == 3
@@ -109,10 +109,15 @@ class TestServiceMetricsOnRegistry:
         assert metrics.query_seconds_max >= 0.0
         assert metrics.mean_query_seconds >= 0.0
         assert metrics.format()
+        # Reads only: counting goes through the record_* methods.
+        for name in ("jobs_registered", "records_ingested", "steps_assembled"):
+            with pytest.raises(AttributeError):
+                setattr(metrics, name, 99)
+        assert metrics.jobs_registered == 2
 
     def test_instances_do_not_share_counts(self):
         first, second = ServiceMetrics(), ServiceMetrics()
-        first.jobs_registered += 5
+        first.record_job("registered", 5)
         assert second.jobs_registered == 0
 
     def test_eviction_folds_per_job_drops(self):
@@ -129,11 +134,12 @@ class TestServiceMetricsOnRegistry:
 
     def test_exposition_matches_to_dict(self):
         metrics = ServiceMetrics()
-        metrics.jobs_registered += 3
-        metrics.records_submitted += 7
-        metrics.records_ingested += 6
+        metrics.record_job("registered", 3)
+        metrics.record_submit(7)
+        for _ in range(6):
+            metrics.record_ingest()
         metrics.record_drop("a/0", 1)
-        metrics.steps_assembled += 12
+        metrics.record_steps(12)
         snap = metrics.to_dict()
         samples = obs.parse_prometheus(metrics.registry.render())
         jobs = dict(
@@ -157,7 +163,7 @@ class TestServiceMetricsOnRegistry:
 
     def test_format_derives_from_to_dict(self):
         metrics = ServiceMetrics()
-        metrics.jobs_registered += 1
+        metrics.record_job("registered")
         lines = metrics.format()
         assert any("1/0/0" in line for line in lines)
         assert any("evicted-job dropped records" in line for line in lines)

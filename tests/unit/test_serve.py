@@ -374,92 +374,6 @@ class TestIngestQueueConcurrency:
         assert queue.depth == 0
         assert len(drained) + queue.dropped == queue.submitted
 
-    def test_offer_many_matches_offer_serially(self):
-        one = IngestQueue(job_id="j", capacity=4)
-        many = IngestQueue(job_id="j", capacity=4)
-        records = _stream_of_records(7)
-        single_acks = [one.offer(record) for record in records]
-        batch_acks = many.offer_many(records)
-        assert batch_acks == single_acks
-        assert (many.submitted, many.dropped, many.depth) == (
-            one.submitted, one.dropped, one.depth,
-        )
-        assert [r.index for r in many.drain()] == [r.index for r in one.drain()]
-
-    def test_offer_many_is_atomic_under_contention(self):
-        import threading
-
-        queue = IngestQueue(job_id="j", capacity=64)
-        producers, batches, batch_size = 8, 30, 5
-        barrier = threading.Barrier(producers)
-
-        def produce(base):
-            barrier.wait()
-            for b in range(batches):
-                acks = queue.offer_many(
-                    [_record(base + b * batch_size + i, []) for i in range(batch_size)]
-                )
-                assert len(acks) == batch_size
-                assert all(ack.accepted for ack in acks)
-
-        threads = [
-            threading.Thread(target=produce, args=(t * batches * batch_size,))
-            for t in range(producers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        total = producers * batches * batch_size
-        assert queue.submitted == total
-        assert queue.depth <= queue.capacity
-        assert queue.submitted - queue.dropped == queue.depth
-        assert len(list(queue.drain())) == min(queue.capacity, total)
-
-
-class TestSubmitMany:
-    def test_parity_with_submit_loop(self):
-        from repro.core.profiler.serialize import record_checksum
-
-        one, many = FleetService(), FleetService()
-        one.register("bert-mrpc", job_id="t")
-        many.register("bert-mrpc", job_id="t")
-        records = _stream_of_records(6)
-        checksums = [record_checksum(record) for record in records]
-        checksums[2] = 7  # one corrupted record mid-batch
-        single_acks = [
-            one.submit("t", record, checksum=checksum)
-            for record, checksum in zip(records, checksums)
-        ]
-        batch_acks = many.submit_many("t", records, checksums=checksums)
-        assert [ack.accepted for ack in batch_acks] == [
-            ack.accepted for ack in single_acks
-        ]
-        assert not batch_acks[2].accepted
-        # accepted acks are bit-identical; refused acks differ only in
-        # the advisory depth (reported after the batch enqueued)
-        assert [a for a in batch_acks if a.accepted] == [
-            a for a in single_acks if a.accepted
-        ]
-        assert many.metrics.to_dict() == one.metrics.to_dict()
-        one.pump()
-        many.pump()
-        assert many.job_snapshot("t") == one.job_snapshot("t")
-
-    def test_checksum_alignment_enforced(self):
-        service = FleetService()
-        service.register("bert-mrpc", job_id="t")
-        with pytest.raises(ServeError):
-            service.submit_many("t", _stream_of_records(3), checksums=[None])
-
-    def test_all_refused_batch_never_activates(self):
-        service = FleetService()
-        info = service.register("bert-mrpc", job_id="t")
-        acks = service.submit_many("t", _stream_of_records(2), checksums=[1, 2])
-        assert not any(ack.accepted for ack in acks)
-        assert info.state is JobState.REGISTERED
-        assert service.metrics.records_quarantined == 2
-
 
 class TestQuarantine:
     def test_checksum_mismatch_is_quarantined(self):

@@ -60,6 +60,21 @@ def _drive(service, tenants, num_steps=8):
         service.complete(job_id)
 
 
+class _LossyWire:
+    """A frame transit that drops every third frame and corrupts every fourth."""
+
+    def __init__(self):
+        self.frames = 0
+
+    def apply_frame(self, frame):
+        self.frames += 1
+        if self.frames % 3 == 0:
+            return None
+        if self.frames % 4 == 0:
+            return frame[:-1] + bytes([frame[-1] ^ 0xFF])  # payload byte: CRC fails
+        return frame
+
+
 class TestHashRing:
     def test_routing_is_deterministic(self):
         one, two = HashRing(4), HashRing(4)
@@ -183,42 +198,23 @@ class TestShardedFleet:
             for job_id in tenants:
                 assert fleet.job_snapshot(job_id) == single.job_snapshot(job_id)
                 assert fleet.similar_phases(job_id) == single.similar_phases(job_id)
-            fleet.close()
-
-    def test_batch_full_flushes_and_pumps_one_shard(self):
-        fleet = ShardedFleet(ShardedFleetOptions(shards=1, batch_size=4))
-        fleet.register("bert-mrpc", job_id="t0")
-        acks = [
-            fleet.submit("t0", record, checksum=record_checksum(record))
-            for record in _stream_of_records(4)
-        ]
-        # buffered until the batch filled, then flushed + pumped
-        assert acks[:3] == [None, None, None]
-        assert acks[3] is not None and acks[3].accepted
-        assert fleet.queue_depth("t0") == 0
-        assert fleet.job_snapshot("t0").steps_seen > 0
-        fleet.close()
 
     def test_no_drops_through_sharded_path(self):
-        """batch_size clamps to queue capacity: nothing is ever shed."""
-        options = ShardedFleetOptions(
-            shards=2,
-            batch_size=64,
-            service=FleetServiceOptions(queue_capacity=4),
-        )
-        fleet = ShardedFleet(options)
-        assert fleet.batch_size == 4
+        """A full queue pumps its one tenant first: nothing is ever shed."""
+        service_options = FleetServiceOptions(queue_capacity=4)
         tenants = [f"t{i}" for i in range(4)]
+        single = FleetService(options=service_options)
+        _drive(single, tenants, num_steps=20)
+        assert single.metrics.records_dropped == 64  # drop-oldest at 4 deep
+        fleet = ShardedFleet(ShardedFleetOptions(shards=2, service=service_options))
         _drive(fleet, tenants, num_steps=20)
         assert fleet.metrics.records_dropped == 0
         assert fleet.metrics.records_ingested == 80
-        fleet.close()
 
     def test_default_job_ids_match_single_service(self):
         single, fleet = FleetService(), ShardedFleet(ShardedFleetOptions(shards=3))
         for workload in ("bert-mrpc", "dcgan-mnist", "bert-mrpc"):
             assert fleet.register(workload).job_id == single.register(workload).job_id
-        fleet.close()
 
     def test_unknown_tenant_raises_typed_error(self):
         fleet = ShardedFleet(ShardedFleetOptions(shards=2))
@@ -231,7 +227,6 @@ class TestShardedFleet:
         ):
             with pytest.raises(UnknownJobError):
                 query("ghost")
-        fleet.close()
 
     def test_quarantine_routes_and_counts_per_tenant(self):
         fleet = ShardedFleet(ShardedFleetOptions(shards=2))
@@ -248,7 +243,6 @@ class TestShardedFleet:
         assert fleet.fleet_snapshot().total_quarantined == 1
         # refused wall time lands in the tenant's quarantine bucket
         assert fleet.goodput("bad").buckets["quarantine"] > 0
-        fleet.close()
 
     def test_goodput_invariant_over_a_fleet(self):
         fleet = ShardedFleet(ShardedFleetOptions(shards=2))
@@ -260,7 +254,6 @@ class TestShardedFleet:
                 tenant.goodput_us + tenant.badput_us
             )
             assert tenant.total_us == pytest.approx(800.0)  # 8 steps x 100us
-        fleet.close()
 
     def test_rebalance_preserves_results_bit_for_bit(self):
         tenants = [f"t{i}" for i in range(8)]
@@ -280,21 +273,44 @@ class TestShardedFleet:
             assert fleet.job_snapshot(job_id) == before_jobs[job_id]
         # the ledger attaches after replay: no double-charged wall time
         assert fleet.goodput_report() == before_goodput
-        fleet.close()
 
     def test_rebalance_replays_quarantine_decisions(self):
+        """Refusals and wire losses match one service's, before and after a resize."""
+
+        def deliver(service):
+            service.register("bert-mrpc", job_id="bad")
+            service.register("bert-mrpc", job_id="wire")
+            corrupt = _record(0, [_step(0, _OPS_A)])
+            service.submit("bad", corrupt, checksum=999)
+            sink = service.sink("wire", transit=_LossyWire())
+            for record in _stream_of_records(8):
+                sink(record)
+            service.pump()
+
+        def observed(service):
+            metrics = service.metrics
+            return (
+                [(q.job_id, q.record.index, q.reason) for q in service.quarantined()],
+                metrics.records_submitted,
+                metrics.records_dropped,
+                metrics.records_ingested,
+                metrics.records_quarantined,
+            )
+
+        single = FleetService()
+        deliver(single)
         fleet = ShardedFleet(ShardedFleetOptions(shards=2))
-        fleet.register("bert-mrpc", job_id="bad")
-        corrupt = _record(0, [_step(0, _OPS_A)])
-        fleet.submit("bad", corrupt, checksum=999)
-        fleet.pump()
-        before = fleet.goodput("bad").buckets["quarantine"]
-        assert before > 0
+        deliver(fleet)
+        reference = observed(single)
+        assert reference[1:] == (9, 2, 4, 3)
+        assert "CRC-32 mismatch" in reference[0][-1][2]
+        assert observed(fleet) == reference
+        before = {job: fleet.goodput(job).buckets["quarantine"] for job in ("bad", "wire")}
+        assert min(before.values()) > 0
         fleet.resize(3)
-        assert [q.job_id for q in fleet.quarantined()] == ["bad"]
-        assert fleet.metrics.records_quarantined == 1
-        assert fleet.goodput("bad").buckets["quarantine"] == before
-        fleet.close()
+        assert observed(fleet) == reference
+        for job, charged in before.items():
+            assert fleet.goodput(job).buckets["quarantine"] == charged
 
     def test_rebalance_can_continue_ingesting(self):
         fleet = ShardedFleet(ShardedFleetOptions(shards=1))
@@ -314,7 +330,6 @@ class TestShardedFleet:
         single.pump()
         single.complete("t0")
         assert fleet.job_snapshot("t0") == single.job_snapshot("t0")
-        fleet.close()
 
     def test_completed_tenant_rejects_ingest(self):
         fleet = ShardedFleet(ShardedFleetOptions(shards=2))
@@ -322,7 +337,6 @@ class TestShardedFleet:
         fleet.complete("t0")
         with pytest.raises(ServeError):
             fleet.submit("t0", _record(0, [_step(0, _OPS_A)]))
-        fleet.close()
 
     def test_evicted_tenant_leaves_the_fleet(self):
         fleet = ShardedFleet(ShardedFleetOptions(shards=2))
@@ -333,13 +347,10 @@ class TestShardedFleet:
             fleet.job_snapshot("t0")
         assert fleet.fleet_snapshot().num_jobs == 0
         assert fleet.metrics.jobs_evicted == 1
-        fleet.close()
 
     def test_options_validation(self):
         with pytest.raises(ShardError):
             ShardedFleetOptions(shards=0)
-        with pytest.raises(ShardError):
-            ShardedFleetOptions(batch_size=0)
         with pytest.raises(ShardError):
             ShardedFleetOptions(workers=0)
 
@@ -350,5 +361,3 @@ class TestShardedFleet:
             for i in range(9):
                 fleet.register("bert-mrpc", job_id=f"t{i}")
         assert one.shard_tenants() == two.shard_tenants()
-        one.close()
-        two.close()

@@ -1,5 +1,7 @@
 """The pluggable search-strategy engine (offline autotune trials)."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.optimizer.parameters import discover_parameters
@@ -16,7 +18,7 @@ from repro.core.optimizer.strategies import (
 from repro.errors import OptimizerError
 from repro.host.pipeline import PipelineConfig
 from repro.models.naive import naive_pipeline_config
-from repro.parallel import WorkerPool, task_rng
+from repro.rng import stream as rng_stream
 
 
 class SyntheticEvaluator:
@@ -28,9 +30,9 @@ class SyntheticEvaluator:
     substream keeps measurements realistic yet fully deterministic.
     """
 
-    def __init__(self, seed: int = 7, pool: WorkerPool | None = None):
+    def __init__(self, seed: int = 7, pool: ThreadPoolExecutor | None = None):
         self.seed = seed
-        self.pool = pool or WorkerPool(1)
+        self.pool = pool
         self.calls = 0
 
     def _elapsed_per_step(self, config: PipelineConfig, key: str) -> float:
@@ -42,7 +44,7 @@ class SyntheticEvaluator:
             + 0.10 * config.num_parallel_reads
             + (2.0 if config.vectorized_preprocess else 0.0)
         )
-        jitter = 1.0 + 0.01 * float(task_rng(self.seed, f"synthetic:{key}").random())
+        jitter = 1.0 + 0.01 * float(rng_stream(f"synthetic:{key}", self.seed).random())
         return 1e6 / speed * jitter
 
     def _run(self, request):
@@ -56,7 +58,8 @@ class SyntheticEvaluator:
 
     def evaluate(self, requests):
         self.calls += len(requests)
-        return self.pool.map(self._run, list(requests))
+        mapper = map if self.pool is None else self.pool.map
+        return list(mapper(self._run, requests))
 
 
 def _search(strategy, start=None, seed=11, pool=None):
@@ -191,7 +194,7 @@ class TestSearchBehaviour:
     def test_identical_across_worker_counts(self, name):
         observed = []
         for workers in (1, 2, 4):
-            with WorkerPool(workers) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcome = _search(build_strategy(name), pool=pool)
             observed.append(
                 [(t.key, t.config, t.steps, t.elapsed_us) for t in outcome.trials]

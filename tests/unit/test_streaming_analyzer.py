@@ -211,7 +211,6 @@ class TestServeWiring:
             fleet.phase_analysis("t0").labels,
             TPUPointAnalyzer(records).kmeans_phases().labels,
         )
-        fleet.close()
 
     def test_sharded_phase_analysis_matches_single_service(self):
         records = _phased_records()
@@ -227,7 +226,6 @@ class TestServeWiring:
         assert np.array_equal(
             fleet.phase_analysis("t0").labels, single.phase_analysis("t0").labels
         )
-        fleet.close()
 
     def test_resize_replays_binary_frame_refusals(self):
         plan = FaultPlan.from_dict({"faults": [{"kind": "corrupt", "nth": [2]}]})
@@ -245,4 +243,3 @@ class TestServeWiring:
         assert fleet.metrics.records_quarantined == 1
         assert fleet.job_snapshot("t0") == before
         assert np.array_equal(fleet.phase_analysis("t0").labels, labels)
-        fleet.close()

@@ -1,6 +1,7 @@
 """The learned performance surrogate and its guided search strategy."""
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from repro.core.optimizer.surrogate import (
 from repro.errors import OptimizerError, StorageError
 from repro.host.pipeline import PipelineConfig
 from repro.models.naive import naive_pipeline_config
-from repro.parallel import WorkerPool
 
 from tests.unit.test_strategies import SyntheticEvaluator
 
@@ -426,7 +426,7 @@ class TestSurrogateStrategy:
                 model=self._warm_model(),
                 signature=_SIG,
             )
-            with WorkerPool(workers) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcome, _ = self._search(strategy, pool=pool)
             observed.append(
                 [(t.key, t.config, t.steps, t.elapsed_us) for t in outcome.trials]
