@@ -237,9 +237,7 @@ class TPUPointAnalyzer:
         """
         matrix = self.reduced_matrix()
         began = time.perf_counter()
-        with obs.trace("analyzer.kmeans_sweep", steps=matrix.shape[0]) as span:
-            results = kmeans_mod.sweep_k(matrix, k_values, seed=self.seed)
-            span.set(k_count=len(results))
+        results = kmeans_mod.sweep_k(matrix, k_values, seed=self.seed)
         _SWEEP_SECONDS.labels(algorithm="kmeans").observe(time.perf_counter() - began)
         return results
 
@@ -269,9 +267,7 @@ class TPUPointAnalyzer:
             if k is None:
                 fit = kmeans_mod.elbow_fit(self._kmeans_results(kmeans_mod.K_SWEEP))
             else:
-                matrix = self.reduced_matrix()
-                with obs.trace("analyzer.kmeans_fit", k=k):
-                    fit = kmeans_mod.kmeans(matrix, k, seed=self.seed)
+                fit = kmeans_mod.kmeans(self.reduced_matrix(), k, seed=self.seed)
             span.set(k=fit.k, phases=len(set(fit.labels.tolist())))
             analysis = AnalysisResult(
                 method="kmeans",

@@ -70,7 +70,7 @@ def block_rows(
     """Rows per distance block under the budget (>= 1 or raises).
 
     Capped by the rows being blocked, not the column count, so a k-means
-    assignment (steps x k centers) is one BLAS call up to the budget.
+    assignment (steps x restarts*k centers) is one BLAS call up to the budget.
     """
     if n_columns <= 0:
         return 1
@@ -91,10 +91,17 @@ def _sq_block(
     other: np.ndarray,
     block_sq: np.ndarray,
     other_sq: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Squared distances of one row block against all of ``other``."""
+    """Squared distances of one row block against all of ``other``.
+
+    Computes ``(block_sq + other_sq) - 2 * cross`` in place, into ``out``
+    when given; the rounding is that of the expression written out.
+    """
     cross = block @ other.T
-    sq = block_sq[:, None] + other_sq[None, :] - 2.0 * cross
+    cross *= 2.0
+    sq = np.add(block_sq[:, None], other_sq[None, :], out=out)
+    sq -= cross
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -124,7 +131,7 @@ def pairwise_sq_distances(
     rows = block_rows(a.shape[0], other.shape[0], memory_budget_bytes)
     for start in range(0, a.shape[0], rows):
         stop = min(start + rows, a.shape[0])
-        out[start:stop] = _sq_block(a[start:stop], other, a_sq[start:stop], other_sq)
+        _sq_block(a[start:stop], other, a_sq[start:stop], other_sq, out[start:stop])
     if b is None:
         DISTANCE_PASSES.labels().inc()
     return out

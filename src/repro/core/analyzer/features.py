@@ -86,10 +86,13 @@ class FeatureMatrix:
         matrix = np.hstack([self.durations, self.counts]).astype(float)
         if not standardize:
             return matrix
-        mean = matrix.mean(axis=0, keepdims=True)
-        std = matrix.std(axis=0, keepdims=True)
-        std[std == 0.0] = 1.0
-        return (matrix - mean) / std
+        # A non-finite duration turns its column into NaN without a
+        # warning; PCA then rejects the matrix with an AnalyzerError.
+        with np.errstate(invalid="ignore"):
+            mean = matrix.mean(axis=0, keepdims=True)
+            std = matrix.std(axis=0, keepdims=True)
+            std[std == 0.0] = 1.0
+            return (matrix - mean) / std
 
     def memory_bytes(self) -> float:
         """Approximate working-set size of the feature representation."""

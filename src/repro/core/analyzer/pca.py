@@ -32,6 +32,8 @@ class PCA:
         """Learn the principal axes of ``matrix`` (rows are samples)."""
         if matrix.ndim != 2 or matrix.shape[0] == 0:
             raise AnalyzerError("PCA needs a non-empty 2-D matrix")
+        if not np.isfinite(matrix).all():
+            raise AnalyzerError("PCA needs finite features; the matrix holds NaN or infinity")
         self.mean_ = matrix.mean(axis=0, keepdims=True)
         centered = matrix - self.mean_
         # SVD of the centered data: rows project onto V's leading rows.

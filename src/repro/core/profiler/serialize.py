@@ -167,6 +167,17 @@ def save_records(
     return directory
 
 
+def _load_json(path: Path):
+    """The JSON value in ``path``; raises :class:`ProfilerError` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as error:
+        raise ProfilerError(f"cannot read {path}: {error.strerror}") from None
+    except ValueError as error:
+        raise ProfilerError(f"unparseable JSON in {path}: {error}") from None
+
+
 def load_records(directory: str | Path, format: str = "auto") -> list[ProfileRecord]:
     """Load records previously written by :func:`save_records`.
 
@@ -179,8 +190,9 @@ def load_records(directory: str | Path, format: str = "auto") -> list[ProfileRec
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ProfilerError(f"no manifest.json under {directory}")
-    with open(manifest_path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    manifest = _load_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise ProfilerError(f"{manifest_path} is not a record-store manifest")
     if manifest.get("schema") != SCHEMA_VERSION:
         raise ProfilerError(f"unsupported manifest schema {manifest.get('schema')!r}")
     found = manifest.get("format", "json")
@@ -195,12 +207,18 @@ def load_records(directory: str | Path, format: str = "auto") -> list[ProfileRec
         raise ProfilerError(
             f"records under {directory} are stored as {found}, not {format}"
         )
+    names = manifest.get("records")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ProfilerError(f"{manifest_path} does not list its record files")
     records = []
     if found == "binary":
         from repro.core.profiler import codec
 
-        for name in manifest["records"]:
-            data = (directory / name).read_bytes()
+        for name in names:
+            try:
+                data = (directory / name).read_bytes()
+            except OSError as error:
+                raise ProfilerError(f"cannot read {directory / name}: {error.strerror}") from None
             if not data.startswith(codec.MAGIC):
                 raise ProfilerError(
                     f"{directory / name} lacks the binary record magic"
@@ -216,8 +234,11 @@ def load_records(directory: str | Path, format: str = "auto") -> list[ProfileRec
                 records.append(read.record)
                 offset = read.next_offset
     else:
-        for name in manifest["records"]:
-            with open(directory / name, encoding="utf-8") as handle:
-                records.append(record_from_dict(json.load(handle)))
+        for name in names:
+            path = directory / name
+            try:
+                records.append(record_from_dict(_load_json(path)))
+            except (AttributeError, KeyError, TypeError, ValueError) as error:
+                raise ProfilerError(f"malformed record file {path}: {error!r}") from None
     records.sort(key=lambda record: record.index)
     return records

@@ -1,11 +1,13 @@
 """The TPUPoint front-end API (Figure 2) and the CLI."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core.api import TPUPoint
+from repro.core.profiler.serialize import save_records
 from repro.errors import ProfilerError
 
 
@@ -202,6 +204,54 @@ class TestCliErrorHygiene:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @staticmethod
+    def _analyze_fails_cleanly(capsys, argv: list[str]) -> str:
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err + captured.out
+        return captured.err
+
+    @pytest.mark.parametrize("store, bad", [("json", "nan"), ("binary", "inf")])
+    def test_analyze_rejects_non_finite_step_features(self, capsys, tmp_path, tiny_run, store, bad):
+        _, _, records = tiny_run
+        step = next(iter(records[0].steps.values()))
+        next(iter(step.operators.values())).total_duration_us = float(bad)
+        directory = save_records(records, tmp_path / "recs", format=store)
+        for method in ("kmeans", "dbscan"):
+            err = self._analyze_fails_cleanly(
+                capsys, ["analyze", str(directory), "--method", method]
+            )
+            assert "finite" in err
+
+    def test_analyze_rejects_unparseable_record_file(self, capsys, tmp_path, tiny_run):
+        _, _, records = tiny_run
+        directory = save_records(records, tmp_path / "recs")
+        broken = sorted(directory.glob("record-*.json"))[0]
+        broken.write_text('{"schema": 1, "index": ', encoding="utf-8")
+        err = self._analyze_fails_cleanly(capsys, ["analyze", str(directory)])
+        assert broken.name in err
+
+    @pytest.mark.parametrize("store", ["json", "binary"])
+    def test_analyze_rejects_store_missing_a_record_file(self, capsys, tmp_path, tiny_run, store):
+        _, _, records = tiny_run
+        directory = save_records(records, tmp_path / "recs", format=store)
+        missing = sorted(directory.glob("record*"))[0]
+        missing.unlink()
+        err = self._analyze_fails_cleanly(capsys, ["analyze", str(directory)])
+        assert missing.name in err
+
+    def test_analyze_rejects_record_missing_a_field(self, capsys, tmp_path, tiny_run):
+        _, _, records = tiny_run
+        directory = save_records(records, tmp_path / "recs")
+        broken = sorted(directory.glob("record-*.json"))[0]
+        payload = json.loads(broken.read_text(encoding="utf-8"))
+        del payload["steps"][0]["operators"][0]["count"]
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        err = self._analyze_fails_cleanly(capsys, ["analyze", str(directory)])
+        assert broken.name in err and "count" in err
 
 
 class TestCliFaults:

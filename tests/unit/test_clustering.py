@@ -51,6 +51,17 @@ class TestKMeans:
         with pytest.raises(ClusteringError):
             kmeans(np.zeros((3, 2)), 1, rng, n_init=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, rng, bad):
+        data = _blobs(rng)
+        data[7, 1] = bad
+        with pytest.raises(ClusteringError, match="finite"):
+            kmeans(data, 3, rng)
+        with pytest.raises(ClusteringError, match="finite"):
+            kmeans(data, 3, seed=0)
+        with pytest.raises(ClusteringError, match="finite"):
+            sweep_k(data, range(1, 5), seed=0)
+
     def test_deterministic_under_seed(self):
         data = _blobs(np.random.default_rng(0))
         a = kmeans(data, 3, np.random.default_rng(7))

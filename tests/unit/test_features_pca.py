@@ -126,3 +126,10 @@ class TestPCA:
             PCA(max_components=0)
         with pytest.raises(AnalyzerError):
             PCA().fit(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, rng, bad):
+        data = rng.normal(size=(20, 5))
+        data[3, 2] = bad
+        with pytest.raises(AnalyzerError, match="finite"):
+            PCA(max_components=3).fit(data)

@@ -5,13 +5,19 @@ tests, so every assertion here works on *deltas* — spans recorded after
 a marker index, counter values captured before and after an action.
 """
 
+import importlib
+
 import pytest
 
 from repro import obs
 from repro.core.analyzer import TPUPointAnalyzer
+from repro.core.analyzer.kmeans import DEFAULT_N_INIT
 from repro.core.profiler import ProfilerOptions, TPUPointProfiler
 from repro.serve import FleetService, FleetServiceOptions
 from repro.serve.metrics import ServiceMetrics
+
+# The package re-exports the function ``kmeans`` under the module's name.
+kmeans_mod = importlib.import_module("repro.core.analyzer.kmeans")
 
 
 def _spans_after(marker):
@@ -56,9 +62,17 @@ class TestProfilerWiring:
 
 
 class TestAnalyzerWiring:
-    def test_kmeans_sweep_emits_nested_fit_spans(self, tiny_run, span_marker):
+    def test_kmeans_sweep_emits_nested_fit_spans(self, tiny_run, span_marker, monkeypatch):
         _, _, records = tiny_run
         analyzer = TPUPointAnalyzer(records)
+        distance_calls = []
+        kernel = kmeans_mod.pairwise_sq_distances
+
+        def counting(matrix, centers):
+            distance_calls.append(centers.shape[0])
+            return kernel(matrix, centers)
+
+        monkeypatch.setattr(kmeans_mod, "pairwise_sq_distances", counting)
         analyzer.kmeans_sweep(range(1, 5))
         spans = _spans_after(span_marker)
         sweep = next(s for s in spans if s.name == "analyzer.kmeans_sweep")
@@ -67,6 +81,14 @@ class TestAnalyzerWiring:
         assert all(fit.parent_id == sweep.span_id for fit in fits)
         assert sorted(fit.attributes["k"] for fit in fits) == [1, 2, 3, 4]
         assert sweep.attributes["k_count"] == 4
+        # Each k's rounds are its stacked assignment calls; every restart
+        # then takes one final assignment of its own.
+        assert all(fit.attributes["rounds"] >= fit.attributes["iterations"] for fit in fits)
+        stacked = sum(fit.attributes["rounds"] for fit in fits)
+        assert len(distance_calls) == stacked + DEFAULT_N_INIT * len(fits)
+        assert max(distance_calls) == DEFAULT_N_INIT * 4  # k = 4, all restarts in one call
+        # The sweep's 4 x (1 + 2 + 3 + 4) = 40 picks touch at most 40 rows.
+        assert 1 <= sweep.attributes["seed_rows"] <= min(sweep.attributes["steps"], 40)
 
     def test_per_algorithm_duration_histograms(self, tiny_run):
         _, _, records = tiny_run

@@ -75,6 +75,14 @@ class TestDiskRoundTrip:
         with pytest.raises(ProfilerError):
             load_records(tmp_path)
 
+    @pytest.mark.parametrize(
+        "manifest", ['{"schema": 1', "[1]", '{"schema": 1}', '{"schema": 1, "records": 3}']
+    )
+    def test_malformed_manifest(self, tmp_path, manifest):
+        (tmp_path / "manifest.json").write_text(manifest, encoding="utf-8")
+        with pytest.raises(ProfilerError, match="manifest.json"):
+            load_records(tmp_path)
+
     def test_api_save_records(self, tiny_estimator, tmp_path):
         from repro.core.api import TPUPoint
 
