@@ -3,8 +3,9 @@
 Part 1 reproduces the Section VII study: a "naive" implementation
 (single-threaded decode, no prefetching, one storage stream) leaves the
 TPU mostly idle; TPUPoint-Optimizer detects the performance-critical
-phase online, hill-climbs the adjustable parameters while checking
-output quality, and finishes the run with the improved configuration.
+phase online, hill-climbs the adjustable parameters on the run's own
+steps while checking output quality, and finishes the run with the
+improved configuration. The tuning log lists every trial.
 
 Part 2 runs the offline autotune engine (the `tpupoint tune` entry
 point) twice against a knowledge base: the first search runs cold and
@@ -47,16 +48,25 @@ def online_optimize(spec: WorkloadSpec) -> None:
     print(f"speedup   : {speedup:.3f}x")
     print(f"critical phase detected at step: {result.detector_triggered_at_step}")
 
-    if result.tuning is not None:
-        print(f"\n=== tuning log ({result.tuning.steps_consumed} steps consumed) ===")
-        for trial in result.tuning.trials:
-            marker = "ACCEPT" if trial.accepted else "      "
-            print(
-                f"  {marker} {trial.parameter:24s} = {str(trial.value):6s} "
-                f"-> {trial.throughput:8.2f} steps/s"
+    tuning = result.tuning
+    if tuning is not None:
+        # Each trial's knobs that differ from the starting configuration;
+        # BEST marks the trial that first measured the winner.
+        print(f"\n=== tuning log ({tuning.steps_consumed} steps consumed) ===")
+        for index, trial in enumerate(tuning.trials, start=1):
+            changed = ", ".join(
+                f"{field.name}={getattr(trial.config, field.name)}"
+                for field in dataclasses.fields(trial.config)
+                if getattr(trial.config, field.name)
+                != getattr(tuning.initial_config, field.name)
             )
-        print(f"\nbest configuration: {result.tuning.best_config}")
-        print(f"measured tuning improvement: {result.tuning.improvement:.3f}x")
+            marker = "BEST" if index == tuning.trials_to_best else "    "
+            print(
+                f"  {marker} {trial.key:8s} {trial.throughput:8.2f} steps/s  "
+                f"{changed or '(starting config)'}"
+            )
+        print(f"\nbest configuration: {tuning.best_config}")
+        print(f"measured tuning improvement: {tuning.improvement:.3f}x")
 
 
 def offline_autotune(spec: WorkloadSpec) -> None:

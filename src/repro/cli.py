@@ -206,25 +206,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="run N concurrent workloads through the live fleet profiling service",
     )
-    fleet.add_argument("--jobs", type=int, default=4, help="number of concurrent jobs")
-    fleet.add_argument(
-        "--workloads",
-        nargs="*",
-        default=None,
-        help="workload keys to cycle over (default: a fast Table I mix)",
-    )
-    fleet.add_argument("--generation", default="v2", choices=["v2", "v3"])
-    fleet.add_argument(
-        "--chunk", type=int, default=16, help="train steps per scheduling quantum"
-    )
-    fleet.add_argument(
-        "--queue-capacity", type=int, default=64, help="per-job ingest queue bound"
-    )
-    fleet.add_argument(
-        "--threshold", type=float, default=0.70, help="live OLS similarity threshold"
-    )
-    fleet.add_argument(
-        "--faults", default=None, help="JSON fault plan to inject (see docs/robustness.md)"
+    _add_fleet_flags(
+        fleet,
+        shards=None,
+        shards_help="spread tenants over this many fleet shards (consistent hashing)",
     )
     fleet.add_argument(
         "--format",
@@ -239,43 +224,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="stall ACTIVE jobs silent for this many pump rounds",
     )
-    fleet.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="spread tenants over this many fleet shards (consistent hashing)",
-    )
     _add_obs_flags(fleet)
 
     goodput = subparsers.add_parser(
         "goodput",
         help="run a fleet and report per-tenant goodput/badput accounting",
     )
-    goodput.add_argument("--jobs", type=int, default=4, help="number of concurrent jobs")
-    goodput.add_argument(
-        "--workloads",
-        nargs="*",
-        default=None,
-        help="workload keys to cycle over (default: a fast Table I mix)",
-    )
-    goodput.add_argument("--generation", default="v2", choices=["v2", "v3"])
-    goodput.add_argument(
-        "--chunk", type=int, default=16, help="train steps per scheduling quantum"
-    )
-    goodput.add_argument(
-        "--queue-capacity", type=int, default=64, help="per-job ingest queue bound"
-    )
-    goodput.add_argument(
-        "--threshold", type=float, default=0.70, help="live OLS similarity threshold"
-    )
-    goodput.add_argument(
-        "--faults", default=None, help="JSON fault plan to inject (see docs/robustness.md)"
-    )
-    goodput.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="fleet shards to run on (the report is identical at any count)",
+    _add_fleet_flags(
+        goodput,
+        shards=2,
+        shards_help="fleet shards to run on (the report is identical at any count)",
     )
     _add_obs_flags(goodput)
 
@@ -416,8 +374,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_monitored_fleet_flags(parser: argparse.ArgumentParser) -> None:
-    """Fleet + monitoring flags shared by ``health`` and ``alerts``."""
+def _add_fleet_flags(
+    parser: argparse.ArgumentParser, shards: int | None, shards_help: str
+) -> None:
+    """Fleet-run flags shared by ``fleet``, ``goodput``, ``health`` and ``alerts``.
+
+    Each command picks its own ``--shards`` default and help text.
+    """
     parser.add_argument("--jobs", type=int, default=4, help="number of concurrent jobs")
     parser.add_argument(
         "--workloads",
@@ -436,13 +399,17 @@ def _add_monitored_fleet_flags(parser: argparse.ArgumentParser) -> None:
         "--threshold", type=float, default=0.70, help="live OLS similarity threshold"
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="fleet shards (alert sequences are identical at any count)",
-    )
-    parser.add_argument(
         "--faults", default=None, help="JSON fault plan to inject (see docs/robustness.md)"
+    )
+    parser.add_argument("--shards", type=int, default=shards, help=shards_help)
+
+
+def _add_monitored_fleet_flags(parser: argparse.ArgumentParser) -> None:
+    """Fleet + monitoring flags shared by ``health`` and ``alerts``."""
+    _add_fleet_flags(
+        parser,
+        shards=2,
+        shards_help="fleet shards (alert sequences are identical at any count)",
     )
     parser.add_argument(
         "--request-interval",
@@ -513,6 +480,15 @@ def _dump_obs(args: argparse.Namespace, extra_registries=()) -> None:
         print(f"wrote toolchain metrics: {path}")
 
 
+def _load_fault_plan(path: str | None):
+    """The ``--faults`` plan, or None when the flag is absent."""
+    if not path:
+        return None
+    from repro.faults import load_plan
+
+    return load_plan(path)
+
+
 def _detector_params(args: argparse.Namespace) -> dict:
     """Per-method keyword arguments from the CLI flags."""
     from repro.errors import ConfigurationError
@@ -543,11 +519,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.profiler import ProfilerOptions
 
     detector_params = _detector_params(args)  # flag conflicts fail before the run
-    fault_plan = None
-    if args.faults:
-        from repro.faults import load_plan
-
-        fault_plan = load_plan(args.faults)
+    fault_plan = _load_fault_plan(args.faults)
     spec = WorkloadSpec(args.workload, generation=args.generation)
     estimator = build_estimator(spec)
     options = ProfilerOptions(
@@ -738,36 +710,45 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
+def _run_fleet_from_flags(args: argparse.Namespace, service_options=None, **run_options):
+    """Run the fleet the shared fleet flags describe.
+
+    Checks ``--jobs``, loads the ``--faults`` plan and cycles the
+    ``--workloads`` keys over the jobs. ``service_options`` adds
+    :class:`FleetServiceOptions` fields beyond the queue capacity and
+    threshold; ``run_options`` go to :func:`run_fleet`. Returns the
+    :class:`FleetRunResult` and the fault plan (None without one).
+    """
     from repro.errors import ConfigurationError
-    from repro.serve import (
-        DEFAULT_FLEET_WORKLOADS,
-        FleetServiceOptions,
-        run_fleet,
-    )
+    from repro.serve import DEFAULT_FLEET_WORKLOADS, FleetServiceOptions, run_fleet
 
     if args.jobs <= 0:
         raise ConfigurationError("--jobs must be positive")
-    fault_plan = None
-    if args.faults:
-        from repro.faults import load_plan
-
-        fault_plan = load_plan(args.faults)
+    fault_plan = _load_fault_plan(args.faults)
     keys = tuple(args.workloads) if args.workloads else DEFAULT_FLEET_WORKLOADS
-    workloads = [keys[i % len(keys)] for i in range(args.jobs)]
-    options = FleetServiceOptions(
-        queue_capacity=args.queue_capacity,
-        threshold=args.threshold,
-        heartbeat_deadline=args.heartbeat_deadline,
-        wire_format=args.format,
-    )
     result = run_fleet(
-        workloads,
+        [keys[i % len(keys)] for i in range(args.jobs)],
         generation=args.generation,
         chunk_steps=args.chunk,
-        service_options=options,
+        service_options=FleetServiceOptions(
+            queue_capacity=args.queue_capacity,
+            threshold=args.threshold,
+            **(service_options or {}),
+        ),
         fault_plan=fault_plan,
         shards=args.shards,
+        **run_options,
+    )
+    return result, fault_plan
+
+
+def _cmd_fleet(args: argparse.Namespace) -> int:
+    result, fault_plan = _run_fleet_from_flags(
+        args,
+        service_options={
+            "heartbeat_deadline": args.heartbeat_deadline,
+            "wire_format": args.format,
+        },
     )
     if fault_plan is not None:
         quarantined = result.service.quarantined()
@@ -780,7 +761,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     # Section order matters to CI: everything above the service-metrics
     # marker is bit-identical at any shard count, so the shard smoke job
     # diffs the sharded and unsharded runs up to that line.
-    print(f"== fleet of {len(workloads)} jobs on TPU{args.generation} "
+    print(f"== fleet of {args.jobs} jobs on TPU{args.generation} "
           f"({result.rounds} scheduling rounds) ==")
     for job in result.jobs:
         for line in job.snapshot.format():
@@ -822,30 +803,8 @@ def _cmd_goodput(args: argparse.Namespace) -> int:
     output is identical at any shard count — which is exactly what the
     CI smoke job pins by diffing ``--shards 1`` against ``--shards 2``.
     """
-    from repro.errors import ConfigurationError
-    from repro.serve import DEFAULT_FLEET_WORKLOADS, FleetServiceOptions, run_fleet
-
-    if args.jobs <= 0:
-        raise ConfigurationError("--jobs must be positive")
-    fault_plan = None
-    if args.faults:
-        from repro.faults import load_plan
-
-        fault_plan = load_plan(args.faults)
-    keys = tuple(args.workloads) if args.workloads else DEFAULT_FLEET_WORKLOADS
-    workloads = [keys[i % len(keys)] for i in range(args.jobs)]
-    options = FleetServiceOptions(
-        queue_capacity=args.queue_capacity, threshold=args.threshold
-    )
-    result = run_fleet(
-        workloads,
-        generation=args.generation,
-        chunk_steps=args.chunk,
-        service_options=options,
-        fault_plan=fault_plan,
-        shards=args.shards,
-    )
-    print(f"== goodput report: {len(workloads)} jobs on TPU{args.generation} ==")
+    result, _ = _run_fleet_from_flags(args)
+    print(f"== goodput report: {args.jobs} jobs on TPU{args.generation} ==")
     for line in result.goodput.format():
         print(line)
     _dump_obs(args, extra_registries=result.service.registries)
@@ -868,18 +827,7 @@ def _run_monitored_fleet(args: argparse.Namespace, health, on_round=None):
     scenario for a given flag set.
     """
     from repro.core.profiler import ProfilerOptions
-    from repro.errors import ConfigurationError
-    from repro.serve import DEFAULT_FLEET_WORKLOADS, FleetServiceOptions, run_fleet
 
-    if args.jobs <= 0:
-        raise ConfigurationError("--jobs must be positive")
-    fault_plan = None
-    if args.faults:
-        from repro.faults import load_plan
-
-        fault_plan = load_plan(args.faults)
-    keys = tuple(args.workloads) if args.workloads else DEFAULT_FLEET_WORKLOADS
-    workloads = [keys[i % len(keys)] for i in range(args.jobs)]
     overrides = {
         name: value
         for name, value in (
@@ -890,20 +838,14 @@ def _run_monitored_fleet(args: argparse.Namespace, health, on_round=None):
         )
         if value is not None
     }
-    return run_fleet(
-        workloads,
-        generation=args.generation,
-        chunk_steps=args.chunk,
-        service_options=FleetServiceOptions(
-            queue_capacity=args.queue_capacity, threshold=args.threshold
-        ),
+    result, _ = _run_fleet_from_flags(
+        args,
         profiler_options=ProfilerOptions(request_interval_ms=args.request_interval),
-        fault_plan=fault_plan,
-        shards=args.shards,
         health=health,
         plan_overrides=overrides or None,
         on_round=on_round,
     )
+    return result
 
 
 def _write_json(path: str, payload: dict) -> str:
@@ -966,11 +908,7 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
 
     if args.chips <= 0:
         raise ConfigurationError("--chips must be positive")
-    plan = None
-    if args.faults:
-        from repro.faults import load_plan
-
-        plan = load_plan(args.faults)
+    plan = _load_fault_plan(args.faults)
     kwargs = {}
     if args.seed is not None:
         kwargs["seed"] = args.seed
@@ -994,20 +932,23 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     records = load_records(args.records, format=args.format)
     analyzer = TPUPointAnalyzer(records)
     result = analyzer.analyze(args.method, **_detector_params(args))
-    report = result.coverage()
     print(f"records  : {len(records)} ({len(analyzer.steps)} steps)")
+    _print_phase_table(args, analyzer, result)
+    _dump_obs(args)
+    return 0
+
+
+def _print_phase_table(args: argparse.Namespace, analyzer, result) -> None:
+    """The phase table ``analyze`` and ``recover`` print, then ``--out`` exports."""
     print(f"phases ({args.method}, params {result.params}): {result.num_phases}")
-    print(f"top-3 phase coverage: {report.top(3):.1%}")
+    print(f"top-3 phase coverage: {result.coverage().top(3):.1%}")
     for rank, phase in enumerate(result.phases[:5]):
         tpu_top = ", ".join(s.name for s in phase.top_operators(5, DeviceKind.TPU))
         print(f"  phase #{rank}: {phase.num_steps} steps, "
               f"{units.format_duration(phase.total_duration_us)}  [{tpu_top}]")
     if args.out:
-        paths = analyzer.export(args.out, result)
-        for kind, path in paths.items():
+        for kind, path in analyzer.export(args.out, result).items():
             print(f"wrote {kind}: {path}")
-    _dump_obs(args)
-    return 0
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -1034,16 +975,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         return 0
     analyzer = TPUPointAnalyzer(list(recovery.records))
     result = analyzer.analyze(args.method, **_detector_params(args))
-    print(f"phases ({args.method}, params {result.params}): {result.num_phases}")
-    print(f"top-3 phase coverage: {result.coverage().top(3):.1%}")
-    for rank, phase in enumerate(result.phases[:5]):
-        tpu_top = ", ".join(s.name for s in phase.top_operators(5, DeviceKind.TPU))
-        print(f"  phase #{rank}: {phase.num_steps} steps, "
-              f"{units.format_duration(phase.total_duration_us)}  [{tpu_top}]")
-    if args.out:
-        paths = analyzer.export(args.out, result)
-        for kind, path in paths.items():
-            print(f"wrote {kind}: {path}")
+    _print_phase_table(args, analyzer, result)
     return 0
 
 

@@ -3,7 +3,8 @@
 Two engines share the parameter space and quality control:
 
 * :class:`TPUPointOptimizer` — the paper's online workflow (detect the
-  critical phase mid-run, hill-climb the live pipeline, finish tuned).
+  critical phase mid-run, hill-climb the live pipeline through
+  :class:`LiveTrialEvaluator`, finish tuned).
 * :func:`autotune` — the offline engine: pluggable search strategies
   (:data:`STRATEGIES`) over independent trial runs, warm-started from a
   phase-keyed :class:`TuningKnowledgeBase`.
@@ -24,6 +25,7 @@ from repro.core.optimizer.knowledge import (
     TuningKnowledgeBase,
 )
 from repro.core.optimizer.optimizer import (
+    LiveTrialEvaluator,
     OptimizationResult,
     OptimizerOptions,
     TPUPointOptimizer,
@@ -52,7 +54,6 @@ from repro.core.optimizer.surrogate import (
     load_corpus,
     mine_knowledge,
 )
-from repro.core.optimizer.tuner import HillClimbTuner, TuningReport, TuningTrial
 
 __all__ = [
     "CRITICAL_PATTERN",
@@ -65,10 +66,10 @@ __all__ = [
     "CriticalPhaseDetector",
     "EstimatorTrialEvaluator",
     "HillClimbStrategy",
-    "HillClimbTuner",
     "InstrumentationReport",
     "KnowledgeEntry",
     "KnowledgeMatch",
+    "LiveTrialEvaluator",
     "OptimizationResult",
     "OptimizerOptions",
     "OutputSignature",
@@ -85,8 +86,6 @@ __all__ = [
     "TPUPointOptimizer",
     "TrainingPair",
     "TuningKnowledgeBase",
-    "TuningReport",
-    "TuningTrial",
     "autotune",
     "build_strategy",
     "build_surrogate",

@@ -38,12 +38,13 @@ from typing import Callable, Sequence
 
 from repro import obs
 from repro.core.analyzer.ols import DEFAULT_SIMILARITY_THRESHOLD
-from repro.core.optimizer.detector import CriticalPhaseDetector
+from repro.core.optimizer.detector import CriticalPhaseDetector, run_detection
 from repro.core.optimizer.knowledge import (
     KnowledgeEntry,
     KnowledgeMatch,
     TuningKnowledgeBase,
 )
+from repro.core.optimizer.optimizer import check_overhead
 from repro.core.optimizer.parameters import discover_parameters
 from repro.core.optimizer.quality import OutputSignature
 from repro.core.optimizer.strategies import (
@@ -54,7 +55,6 @@ from repro.core.optimizer.strategies import (
 from repro.core.optimizer.surrogate import SurrogateModel, build_surrogate
 from repro.core.profiler.options import ProfilerOptions
 from repro.core.profiler.profiler import TPUPointProfiler
-from repro.core.profiler.streaming import StepStream
 from repro.errors import (
     ConfigurationError,
     OptimizerError,
@@ -116,6 +116,7 @@ class AutotuneOptions:
             raise OptimizerError("signature_top_k must be positive")
         if not 0.0 <= self.knowledge_threshold <= 1.0:
             raise OptimizerError("knowledge_threshold must be in [0, 1]")
+        check_overhead(self.overhead_us_per_trial)
 
 
 class EstimatorTrialEvaluator:
@@ -177,14 +178,13 @@ def detect_phase_signature(
 
     Runs a short window under ``config`` with the profiler streaming
     into the critical-phase detector (the online optimizer's detection
-    loop, bounded by ``detection_steps``), then returns the phase
-    signature the knowledge base keys on.
+    loop, :func:`run_detection`, bounded by ``detection_steps``), then
+    returns the phase signature the knowledge base keys on.
     """
     options = options or AutotuneOptions()
     estimator = factory(config)
     estimator.rng = rng_stream("optimizer:detect", options.seed)
     detector = CriticalPhaseDetector()
-    stream = StepStream()
     profiler = TPUPointProfiler(
         estimator,
         ProfilerOptions(
@@ -193,30 +193,18 @@ def detect_phase_signature(
         ),
     )
     profiler.start(analyzer=False)
-    consumed = 0
-    remaining = options.detection_steps
     with obs.trace("optimizer.detect_signature") as span:
-        while remaining > 0:
-            executed = estimator.train_steps(
-                min(options.detection_chunk_steps, remaining)
-            )
-            if executed == 0:
-                break
-            remaining -= executed
-            records = profiler.records
-            for record in records[consumed:]:
-                for step in stream.submit(record):
-                    detector.observe(step)
-            consumed = len(records)
-            if detector.critical:
-                break
+        run_detection(
+            estimator,
+            profiler,
+            detector,
+            options.detection_chunk_steps,
+            options.detection_steps,
+        )
         # stop() flushes a final partial record; feed it too, so windows
         # shorter than one profile interval still yield a fingerprint.
-        for record in profiler.stop()[consumed:]:
-            for step in stream.submit(record):
-                detector.observe(step)
-        for step in stream.flush():
-            detector.observe(step)
+        detector.feed(profiler.stop())
+        detector.flush()
         signature = detector.phase_signature(options.signature_top_k)
         span.set(critical=detector.critical, operators=len(signature))
     return signature

@@ -11,16 +11,24 @@ of Section VII-B holds:
 
 The detector consumes per-step operator statistics (the profiler's
 records) online, tracking phases with the same OLS scan the analyzer
-uses.
+uses. :func:`run_detection` is the one detection loop: the online
+optimizer runs it up to the plan's end, the offline autotuner's
+fingerprint up to its detection window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.analyzer.ols import DEFAULT_SIMILARITY_THRESHOLD, OnlineLinearScan
-from repro.core.profiler.record import StepStats
+from repro.core.profiler.record import ProfileRecord, StepStats
+from repro.core.profiler.streaming import StepStream
 from repro.errors import OptimizerError
+
+if TYPE_CHECKING:
+    from repro.core.profiler.profiler import TPUPointProfiler
+    from repro.runtime.estimator import TPUEstimator
 
 # The common operator pattern of Section VI: data exchange and layout.
 CRITICAL_PATTERN: frozenset[str] = frozenset(
@@ -48,6 +56,8 @@ class CriticalPhaseDetector:
     _phase_durations: dict[int, float] = field(default_factory=dict, repr=False)
     _phase_steps: dict[int, list[StepStats]] = field(default_factory=dict, repr=False)
     _critical_since_step: int | None = None
+    _stream: StepStream = field(default_factory=StepStream, repr=False)
+    _records_fed: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         self._scanner = OnlineLinearScan(threshold=self.similarity_threshold)
@@ -76,6 +86,23 @@ class CriticalPhaseDetector:
         else:
             self._critical_since_step = None
         return self.critical
+
+    def feed(self, records: Sequence[ProfileRecord]) -> None:
+        """Observe the completed steps of a profiler's growing record list.
+
+        Only records past the previous call's length are new. The latest
+        step may still be spread across future profile windows; the
+        :class:`StepStream` withholds it until a later step appears.
+        """
+        for record in records[self._records_fed :]:
+            for step in self._stream.submit(record):
+                self.observe(step)
+        self._records_fed = len(records)
+
+    def flush(self) -> None:
+        """Observe the withheld last step (call once the stream has ended)."""
+        for step in self._stream.flush():
+            self.observe(step)
 
     def phase_signature(self, top_k: int = 8) -> frozenset[str]:
         """Operator-name fingerprint of the phase worth tuning for.
@@ -120,3 +147,28 @@ class CriticalPhaseDetector:
         if total <= 0:
             return False
         return self._phase_durations[phase] / total > self.time_fraction
+
+
+def run_detection(
+    estimator: TPUEstimator,
+    profiler: TPUPointProfiler,
+    detector: CriticalPhaseDetector,
+    chunk_steps: int,
+    limit: int,
+) -> int:
+    """Train in chunks until ``detector`` fires or ``limit`` steps have run.
+
+    After every chunk the profiler's new records are fed to the
+    detector. Stops early when the plan runs out of steps; returns the
+    steps executed.
+    """
+    executed = 0
+    while executed < limit:
+        ran = estimator.train_steps(min(chunk_steps, limit - executed))
+        if ran == 0:
+            break
+        executed += ran
+        detector.feed(profiler.records)
+        if detector.critical:
+            break
+    return executed

@@ -5,7 +5,8 @@ this module generalizes it into a strategy interface so the engine can
 trade trials for coverage:
 
 * :class:`HillClimbStrategy` — the paper's one-parameter-at-a-time
-  directional walk, re-expressed over the offline trial evaluator.
+  directional walk. The online optimizer drives it over the live run's
+  own steps; the offline engine over independent trial runs.
 * :class:`SimulatedAnnealingStrategy` — seeded Metropolis search that
   proposes a *batch* of neighbor configurations per temperature level.
   Proposals and acceptance draws come from one driver-side RNG stream
@@ -42,7 +43,7 @@ from typing import Protocol, Sequence
 from repro import obs
 from repro.core.optimizer.parameters import AdjustableParameter
 from repro.core.optimizer.surrogate import SurrogateModel
-from repro.errors import ConfigurationError, OptimizerError
+from repro.errors import ConfigurationError, OptimizerError, SearchExhausted
 from repro.host.pipeline import PipelineConfig
 from repro.rng import stream as rng_stream
 
@@ -63,8 +64,8 @@ _SURROGATE_PRUNED = obs.counter(
     "outside the measured frontier.",
 ).labels()
 
-#: Relative improvement a hill-climb move must clear (matches the online
-#: tuner's jitter guard).
+#: Relative improvement a hill-climb move must clear, so measurement
+#: jitter does not walk the configuration randomly.
 MIN_IMPROVEMENT = 1.02
 
 
@@ -72,10 +73,10 @@ MIN_IMPROVEMENT = 1.02
 class CandidateTrial:
     """One measured candidate configuration.
 
-    Unlike the online tuner's :class:`~repro.core.optimizer.tuner.TuningTrial`
-    (which names the single parameter being moved), a candidate trial
-    carries the whole configuration — annealing and racing move several
-    knobs at once.
+    A trial carries the whole configuration — annealing and racing move
+    several knobs at once. A trial that trained no step or consumed no
+    simulated time is invalid evidence, not an infinitely slow one, so
+    it is rejected at construction rather than compared.
     """
 
     key: str
@@ -105,6 +106,10 @@ class TrialEvaluator(Protocol):
     names the trial's RNG substream, so a given ``(key, config, steps)``
     always measures identically — the property that lets strategies fan
     evaluation out over a worker pool without losing determinism.
+
+    An evaluator with a finite budget raises
+    :class:`~repro.errors.SearchExhausted` for a request it cannot
+    afford; :class:`HillClimbStrategy` stops there and keeps its best.
     """
 
     def evaluate(
@@ -206,13 +211,18 @@ class SearchStrategy:
 
 @dataclass
 class HillClimbStrategy(SearchStrategy):
-    """The paper's directional hill climb over the offline evaluator.
+    """The paper's directional hill climb (Section VII-B).
 
     One parameter at a time: try each neighbor of the current best; on
     an accepted move keep stepping in the same direction until it stops
     helping. Sequential by construction — each trial depends on the
     previous accept — so a concurrent evaluator gains it nothing; it is the
     reference strategy warm starts and the racers are compared against.
+
+    An evaluator that raises :class:`~repro.errors.SearchExhausted` (the
+    online optimizer's step budget) ends the walk: the outcome keeps the
+    trials measured so far and their best, or the initial configuration
+    and an improvement of 1.0 when not even the baseline was measured.
     """
 
     trial_steps: int = 6
@@ -231,44 +241,46 @@ class HillClimbStrategy(SearchStrategy):
         log: list[CandidateTrial] = []
         serial = 0
 
-        def measure(config: PipelineConfig) -> CandidateTrial:
+        def measure(config: PipelineConfig) -> float:
             nonlocal serial
             serial += 1
             return self._measure(
                 evaluator, [(f"hill:{serial}", config, self.trial_steps)], log
-            )[0]
+            )[0].throughput
 
-        baseline = measure(initial_config)
-        best, best_throughput = initial_config, baseline.throughput
-
-        for parameter in parameters:
-            start_value = int(getattr(best, parameter.name))
-            is_bool = isinstance(getattr(best, parameter.name), bool)
-            for first_value in parameter.candidate_values(start_value):
-                value, anchor = first_value, start_value
-                while True:
-                    candidate = _apply(best, parameter.name, value)
-                    trial = measure(candidate)
-                    if trial.throughput < best_throughput * self.min_improvement:
-                        break
-                    best, best_throughput = candidate, trial.throughput
-                    if is_bool:
-                        break
-                    direction = 1 if value > anchor else -1
-                    onward = [
-                        v
-                        for v in parameter.candidate_values(value)
-                        if (v - value) * direction > 0
-                    ]
-                    if not onward:
-                        break
-                    anchor, value = value, onward[0]
+        best, baseline_throughput, best_throughput = initial_config, 0.0, 0.0
+        try:
+            baseline_throughput = best_throughput = measure(initial_config)
+            for parameter in parameters:
+                start_value = int(getattr(best, parameter.name))
+                is_bool = isinstance(getattr(best, parameter.name), bool)
+                for first_value in parameter.candidate_values(start_value):
+                    value, anchor = first_value, start_value
+                    while True:
+                        candidate = _apply(best, parameter.name, value)
+                        throughput = measure(candidate)
+                        if throughput < best_throughput * self.min_improvement:
+                            break
+                        best, best_throughput = candidate, throughput
+                        if is_bool:
+                            break
+                        direction = 1 if value > anchor else -1
+                        onward = [
+                            v
+                            for v in parameter.candidate_values(value)
+                            if (v - value) * direction > 0
+                        ]
+                        if not onward:
+                            break
+                        anchor, value = value, onward[0]
+        except SearchExhausted:
+            pass
 
         return SearchOutcome(
             strategy=self.name,
             initial_config=initial_config,
             best_config=best,
-            baseline_throughput=baseline.throughput,
+            baseline_throughput=baseline_throughput,
             best_throughput=best_throughput,
             trials=log,
         )

@@ -104,3 +104,11 @@ class OptimizerError(ReproError):
 
 class QualityViolationError(OptimizerError):
     """A parameter adjustment changed program output and was rolled back."""
+
+
+class SearchExhausted(OptimizerError):
+    """A trial evaluator cannot measure another trial (its step budget is spent).
+
+    Strategies that can stop early catch it and keep the best
+    configuration measured so far.
+    """

@@ -125,11 +125,6 @@ def ensure_core_metrics() -> None:
         "Full self-pairwise distance passes over a feature matrix.",
     )
     counter(
-        "repro_optimizer_trials_total",
-        "Tuning trials measured, by acceptance outcome.",
-        labels=("accepted",),
-    )
-    counter(
         "repro_optimizer_strategy_trials_total",
         "Autotune trials measured, by search strategy.",
         labels=("strategy",),
