@@ -106,26 +106,12 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--journal", default=None, help="crash-safe record journal path"
     )
-    profile.add_argument(
-        "--format",
-        default="binary",
-        choices=["binary", "json"],
-        help="on-disk encoding for --journal and --save-records "
-        "(binary: columnar CRC-checked blocks; json: legacy JSONL/JSON)",
-    )
     _add_obs_flags(profile)
 
     analyze = subparsers.add_parser(
         "analyze", help="analyze previously saved profile records"
     )
     analyze.add_argument("records", help="directory written by profile --save-records")
-    analyze.add_argument(
-        "--format",
-        default="auto",
-        choices=["auto", "binary", "json"],
-        help="record-store format to expect (auto follows the manifest; "
-        "naming one asserts the store matches it)",
-    )
     analyze.add_argument(
         "--method", default="ols", choices=["ols", "kmeans", "dbscan"], help="phase detector"
     )
@@ -210,13 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
         fleet,
         shards=None,
         shards_help="spread tenants over this many fleet shards (consistent hashing)",
-    )
-    fleet.add_argument(
-        "--format",
-        default="binary",
-        choices=["binary", "json"],
-        help="ingest wire encoding (binary: codec frames with per-frame "
-        "CRC; json: legacy per-record JSON checksums)",
     )
     fleet.add_argument(
         "--heartbeat-deadline",
@@ -305,13 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "recover", help="recover records from a crash-safe journal and analyze them"
     )
     recover.add_argument("journal", help="journal written by profile --journal")
-    recover.add_argument(
-        "--format",
-        default="auto",
-        choices=["auto", "binary", "json"],
-        help="journal format to expect (auto detects by magic bytes; "
-        "naming one fails loudly if the journal is the other format)",
-    )
     recover.add_argument(
         "--method", default="ols", choices=["ols", "kmeans", "dbscan"], help="phase detector"
     )
@@ -526,7 +498,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         breakpoint_step=args.breakpoint,
         fault_plan=fault_plan,
         journal_path=args.journal,
-        journal_format=args.format,
     )
     tpupoint = TPUPoint(estimator, profiler_options=options)
     tpupoint.Start(analyzer=True)
@@ -548,12 +519,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         if recorder is not None and recorder.get("crashed"):
             print("recorder            : CRASHED mid-run (journal has a torn tail)")
     if args.journal:
-        print(f"record journal      : {args.journal} ({args.format})")
+        print(f"record journal      : {args.journal} (binary)")
     if args.save_records:
         from repro.core.profiler.serialize import save_records
 
-        directory = save_records(tpupoint.records, args.save_records, format=args.format)
-        print(f"saved {len(tpupoint.records)} records to {directory} ({args.format})")
+        directory = save_records(tpupoint.records, args.save_records)
+        print(f"saved {len(tpupoint.records)} records to {directory} (binary)")
 
     print(f"== {spec.display_name} ==")
     print(f"simulated wall time : {units.format_duration(summary.wall_us)}")
@@ -745,10 +716,7 @@ def _run_fleet_from_flags(args: argparse.Namespace, service_options=None, **run_
 def _cmd_fleet(args: argparse.Namespace) -> int:
     result, fault_plan = _run_fleet_from_flags(
         args,
-        service_options={
-            "heartbeat_deadline": args.heartbeat_deadline,
-            "wire_format": args.format,
-        },
+        service_options={"heartbeat_deadline": args.heartbeat_deadline},
     )
     if fault_plan is not None:
         quarantined = result.service.quarantined()
@@ -929,7 +897,7 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.profiler.serialize import load_records
 
-    records = load_records(args.records, format=args.format)
+    records = load_records(args.records)
     analyzer = TPUPointAnalyzer(records)
     result = analyzer.analyze(args.method, **_detector_params(args))
     print(f"records  : {len(records)} ({len(analyzer.steps)} steps)")
@@ -955,15 +923,10 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.profiler.journal import recover_journal
-    from repro.errors import JournalError
 
     started = time.perf_counter()
     recovery = recover_journal(args.journal, strict=args.strict)
     elapsed = time.perf_counter() - started
-    if args.format != "auto" and recovery.journal_format != args.format:
-        raise JournalError(
-            f"{args.journal} is a {recovery.journal_format} journal, not {args.format}"
-        )
     print(f"== recovery of {args.journal} ==")
     for line in recovery.format():
         print(line)

@@ -7,8 +7,6 @@ from repro.core.profiler.codec import (
     frame_stub,
 )
 from repro.core.profiler.journal import (
-    DEFAULT_JOURNAL_FORMAT,
-    JOURNAL_FORMATS,
     JournalRecovery,
     RecordJournal,
     detect_journal_format,
@@ -28,8 +26,6 @@ from repro.core.profiler.serialize import (
 
 __all__ = [
     "CODEC_VERSION",
-    "DEFAULT_JOURNAL_FORMAT",
-    "JOURNAL_FORMATS",
     "JournalRecovery",
     "OperatorStats",
     "ProfileRecord",

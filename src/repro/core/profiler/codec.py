@@ -1,13 +1,13 @@
 """Versioned columnar binary codec for profile records.
 
-The JSONL journal spends most of its time re-encoding records as text:
-every append builds the nested dict view, canonicalizes it *twice* (once
-for the checksum, once for the entry), and every recover parses and
-re-canonicalizes it all again. This module replaces that hot path with a
-fixed-width columnar encoding in the spirit of tf-Darshan's compact
-binary trace records: one *block* per :class:`ProfileRecord`, made of a
-fixed block header plus a columnar payload, integrity-checked by a
-CRC-32 over the payload bytes.
+The legacy JSONL journal spent most of its time re-encoding records as
+text: every append built the nested dict view and canonicalized it
+*twice* (once for the checksum, once for the entry), and every recover
+parsed and re-canonicalized it all again. This module's fixed-width
+columnar encoding, in the spirit of tf-Darshan's compact binary trace
+records, is the only record encoding written now: one *block* per
+:class:`ProfileRecord`, made of a fixed block header plus a columnar
+payload, integrity-checked by a CRC-32 over the payload bytes.
 
 On-disk layout of a binary record file (journal or record store)::
 
@@ -262,7 +262,7 @@ def decode_payload(buffer) -> ProfileRecord:
                 record_steps[number] = step
         if offset != size:
             raise CodecError("trailing bytes after the record payload")
-    except struct.error as error:
+    except (struct.error, UnicodeDecodeError) as error:
         raise CodecError(f"malformed record payload: {error}") from None
     return record
 

@@ -2,14 +2,14 @@
 
 The recording thread persists each :class:`ProfileRecord` to an
 append-only journal as it arrives, flushed before the next record is
-accepted. Two formats share the same recovery semantics:
+accepted. Journals are written in the columnar block format of
+:mod:`repro.core.profiler.codec`: one CRC-32-checked block per record
+behind an 8-byte file magic, read back through a memory map.
 
-* ``binary`` (the default): the columnar block format of
-  :mod:`repro.core.profiler.codec` — one CRC-32-checked block per
-  record behind an 8-byte file magic, read back through a memory map.
-* ``json``: the legacy JSONL format — one line per record carrying a
-  sequence number and a CRC-32 over the record's canonical JSON
-  encoding. Old journals recover byte-for-byte identically.
+Journals written before the binary codec existed are JSONL — one line
+per record carrying a sequence number and a CRC-32 over the record's
+canonical JSON encoding. They are read-only now: nothing writes them,
+but :func:`recover_journal` still reads them byte-for-byte as before.
 
 If the recorder (or the whole process) dies mid-write, the journal is
 left with at most one torn entry at the tail; :func:`recover_journal`
@@ -32,25 +32,12 @@ from repro.core.profiler.serialize import (
     SCHEMA_VERSION,
     payload_checksum,
     record_from_dict,
-    record_to_dict,
 )
 from repro.errors import JournalError
 
-#: Journals are written in the binary block format unless asked otherwise.
-DEFAULT_JOURNAL_FORMAT = "binary"
-
-JOURNAL_FORMATS = ("binary", "json")
-
-
-def encode_entry(seq: int, record: ProfileRecord) -> str:
-    """One JSONL journal line (no trailing newline) for ``record``."""
-    payload = record_to_dict(record)
-    entry = {"seq": seq, "crc": payload_checksum(payload), "record": payload}
-    return json.dumps(entry, sort_keys=True, separators=(",", ":"))
-
 
 def decode_entry(line: str) -> tuple[int, ProfileRecord]:
-    """Parse and verify one JSONL journal line; raises :class:`JournalError`."""
+    """Parse and verify one legacy JSONL journal line; raises :class:`JournalError`."""
     try:
         entry = json.loads(line)
     except json.JSONDecodeError as error:
@@ -72,32 +59,18 @@ def decode_entry(line: str) -> tuple[int, ProfileRecord]:
 
 
 class RecordJournal:
-    """Append-only checksummed journal for one profiling run.
+    """Append-only journal of CRC-checked codec blocks for one profiling run."""
 
-    ``format`` selects the on-disk encoding: ``"binary"`` (default,
-    the codec's block format) or ``"json"`` (legacy JSONL).
-    """
-
-    def __init__(self, path: str | Path, format: str = DEFAULT_JOURNAL_FORMAT):
-        if format not in JOURNAL_FORMATS:
-            raise JournalError(
-                f"unknown journal format {format!r}; expected one of "
-                + "/".join(JOURNAL_FORMATS)
-            )
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.format = format
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._seq = 0
         self._dead = False
         self.entries_written = 0
-        if format == "binary":
-            self._handle = open(self.path, "wb")
-            self._handle.write(codec.MAGIC)
-            self._handle.flush()
-            self.bytes_written = len(codec.MAGIC)
-        else:
-            self._handle = open(self.path, "w", encoding="utf-8")
-            self.bytes_written = 0
+        self._handle = open(self.path, "wb")
+        self._handle.write(codec.MAGIC)
+        self._handle.flush()
+        self.bytes_written = len(codec.MAGIC)
 
     @property
     def alive(self) -> bool:
@@ -108,42 +81,26 @@ class RecordJournal:
         """Durably append one record (write + flush before returning)."""
         if self._dead:
             raise JournalError(f"journal {self.path} is closed")
-        if self.format == "binary":
-            block = codec.encode_block(self._seq, record)
-            self._handle.write(block)
-            written = len(block)
-        else:
-            line = encode_entry(self._seq, record)
-            self._handle.write(line + "\n")
-            written = len(line) + 1
+        block = codec.encode_block(self._seq, record)
+        self._handle.write(block)
         self._handle.flush()
         self._seq += 1
         self.entries_written += 1
-        self.bytes_written += written
+        self.bytes_written += len(block)
 
     def tear(self, record: ProfileRecord | None = None) -> None:
-        """Simulate a crash mid-append: leave a torn entry, go dead.
+        """Simulate a crash mid-append: leave a torn block, go dead.
 
-        Writes a prefix of what would have been the next entry — the
+        Writes a prefix of what would have been the next block — the
         exact on-disk state a process death mid-``write`` leaves behind
-        (a cut block in binary, a line without its newline in JSONL) —
-        then stops accepting appends.
+        — then stops accepting appends.
         """
         if self._dead:
             return
-        if self.format == "binary":
-            if record is None:
-                record = ProfileRecord(
-                    index=self._seq, window_start_us=0.0, window_end_us=0.0
-                )
-            block = codec.encode_block(self._seq, record)
-            self._handle.write(block[: max(8, len(block) // 2)])
-        else:
-            if record is not None:
-                line = encode_entry(self._seq, record)
-            else:
-                line = '{"crc": 0, "record": {"index": %d, "steps"' % self._seq
-            self._handle.write(line[: max(8, len(line) // 2)])
+        if record is None:
+            record = ProfileRecord(index=self._seq, window_start_us=0.0, window_end_us=0.0)
+        block = codec.encode_block(self._seq, record)
+        self._handle.write(block[: max(8, len(block) // 2)])
         self.close()
 
     def close(self) -> None:
@@ -332,13 +289,10 @@ def _recover_json(path: Path, strict: bool) -> JournalRecovery:
 
 
 __all__ = [
-    "DEFAULT_JOURNAL_FORMAT",
-    "JOURNAL_FORMATS",
     "JournalRecovery",
     "RecordJournal",
     "decode_entry",
     "detect_journal_format",
-    "encode_entry",
     "recover_journal",
     "SCHEMA_VERSION",
 ]

@@ -39,11 +39,8 @@ class ProfilerOptions:
             fault-free on the plain stub.
         journal_path: when set, the recording thread also appends every
             record to a crash-safe journal at this path
-            (``tpupoint recover`` reads it back).
-        journal_format: on-disk encoding of that journal — ``"binary"``
-            (default: the columnar block codec with per-block CRC-32)
-            or ``"json"`` (the legacy JSONL lines). Recovery
-            auto-detects either by magic bytes.
+            (``tpupoint recover`` reads it back), written in the
+            columnar block codec with a CRC-32 per block.
     """
 
     request_interval_ms: float = 1_000.0
@@ -55,7 +52,6 @@ class ProfilerOptions:
     online_phase_threshold: float = 0.70
     fault_plan: "object | None" = None
     journal_path: str | None = None
-    journal_format: str = "binary"
 
     def __post_init__(self) -> None:
         if self.request_interval_ms <= 0:
@@ -68,7 +64,3 @@ class ProfilerOptions:
             raise ConfigurationError("breakpoint_step must be positive when set")
         if not 0.0 <= self.online_phase_threshold <= 1.0:
             raise ConfigurationError("online_phase_threshold must be in [0, 1]")
-        if self.journal_format not in ("binary", "json"):
-            raise ConfigurationError(
-                f"unknown journal_format {self.journal_format!r}; use binary or json"
-            )

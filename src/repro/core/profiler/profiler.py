@@ -145,9 +145,7 @@ class TPUPointProfiler:
             if self.options.journal_path is not None:
                 from repro.core.profiler.journal import RecordJournal
 
-                journal = RecordJournal(
-                    self.options.journal_path, format=self.options.journal_format
-                )
+                journal = RecordJournal(self.options.journal_path)
             self._recorder = RecordingThread(bucket=bucket, journal=journal)
             if plan is not None:
                 from repro.faults.plan import FaultTarget

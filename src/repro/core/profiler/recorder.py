@@ -28,7 +28,7 @@ class RecordingThread:
     When ``journal`` is attached, every record is also durably appended
     to a checksummed on-disk journal *before* the in-memory buffer grows
     — after a crash, the journal holds everything the thread ever
-    acknowledged (minus at most one torn tail line).
+    acknowledged (minus at most one torn tail block).
     """
 
     bucket: Bucket | None = None
@@ -56,9 +56,8 @@ class RecordingThread:
     def crash(self, record: ProfileRecord | None = None) -> None:
         """Kill the journaling half of the thread mid-append.
 
-        Models the recorder dying between ``write`` and the final
-        newline: the journal is left with a torn tail and stops
-        accepting appends. The in-memory buffer keeps filling so the
+        Models the recorder dying mid-``write``: the journal is left
+        with a torn tail block and stops accepting appends. The in-memory buffer keeps filling so the
         surrounding run still completes — recovery happens offline via
         ``tpupoint recover``.
         """

@@ -2,10 +2,17 @@
 
 The real TPUPoint persists statistical records into Cloud Storage so the
 analyzer can run long after training finished, possibly on another
-machine. This module provides the equivalent offline path: records
-round-trip through a stable JSON schema, one file per record plus a
-manifest, so ``TPUPointAnalyzer`` can be fed from disk (the CLI's
-``analyze`` subcommand does exactly that).
+machine. This module provides the equivalent offline path: a record
+store is a directory holding one binary block file
+(:mod:`repro.core.profiler.codec`) plus a manifest, so
+``TPUPointAnalyzer`` can be fed from disk (the CLI's ``analyze``
+subcommand does exactly that).
+
+Records also have a stable JSON view (:func:`record_to_dict`). Nothing
+writes it to disk any more; it defines the canonical encoding the
+end-to-end :func:`record_checksum` is computed over (in memory), and it
+is how record stores and journals written before the binary codec are
+read back.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import zlib
 from pathlib import Path
 
 from repro.core.profiler.record import OperatorStats, ProfileRecord, StepStats
-from repro.errors import ProfilerError
+from repro.errors import JournalError, ProfilerError
 from repro.runtime.events import DeviceKind, StepKind
 
 SCHEMA_VERSION = 1
@@ -114,54 +121,31 @@ def record_from_dict(payload: dict) -> ProfileRecord:
 #: File carrying every record of a binary record store.
 BINARY_RECORDS_FILE = "records.bin"
 
-RECORD_FORMATS = ("binary", "json")
 
-
-def save_records(
-    records: list[ProfileRecord], directory: str | Path, format: str = "json"
-) -> Path:
+def save_records(records: list[ProfileRecord], directory: str | Path) -> Path:
     """Write records plus a manifest under ``directory``; returns it.
 
-    ``format="json"`` (the historical layout) writes one JSON file per
-    record; ``format="binary"`` writes a single columnar block file
-    (:mod:`repro.core.profiler.codec`) — one CRC-checked block per
-    record. Either way :func:`load_records` reads the store back via
-    the manifest's ``format`` field.
+    The records go to one block file written through
+    :class:`~repro.core.profiler.journal.RecordJournal` — one CRC-checked
+    block per record — and :func:`load_records` reads the store back.
     """
-    if format not in RECORD_FORMATS:
-        raise ProfilerError(
-            f"unknown record format {format!r}; expected one of "
-            + "/".join(RECORD_FORMATS)
-        )
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    if format == "binary":
-        from repro.core.profiler import codec
+    from repro.core.profiler import codec
+    from repro.core.profiler.journal import RecordJournal
 
-        with open(directory / BINARY_RECORDS_FILE, "wb") as handle:
-            handle.write(codec.MAGIC)
-            for seq, record in enumerate(records):
-                handle.write(codec.encode_block(seq, record))
-        manifest = {
-            "schema": SCHEMA_VERSION,
-            "format": "binary",
-            "codec": codec.CODEC_VERSION,
-            "num_records": len(records),
-            "records": [BINARY_RECORDS_FILE],
-        }
-    else:
-        names = []
+    directory = Path(directory)
+    journal = RecordJournal(directory / BINARY_RECORDS_FILE)
+    try:
         for record in records:
-            name = f"record-{record.index:06d}.json"
-            with open(directory / name, "w", encoding="utf-8") as handle:
-                json.dump(record_to_dict(record), handle)
-            names.append(name)
-        manifest = {
-            "schema": SCHEMA_VERSION,
-            "format": "json",
-            "num_records": len(records),
-            "records": names,
-        }
+            journal.append(record)
+    finally:
+        journal.close()
+    manifest = {
+        "schema": SCHEMA_VERSION,
+        "format": "binary",
+        "codec": codec.CODEC_VERSION,
+        "num_records": len(records),
+        "records": [BINARY_RECORDS_FILE],
+    }
     with open(directory / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
     return directory
@@ -178,13 +162,31 @@ def _load_json(path: Path):
         raise ProfilerError(f"unparseable JSON in {path}: {error}") from None
 
 
-def load_records(directory: str | Path, format: str = "auto") -> list[ProfileRecord]:
+def _load_block_file(path: Path) -> tuple[ProfileRecord, ...]:
+    """Every record of one binary store file; raises :class:`ProfilerError` naming it.
+
+    The file is read as a strict journal recovery: a corrupt block, a
+    torn tail or a missing file magic is an error, not a skip.
+    """
+    from repro.core.profiler.journal import detect_journal_format, recover_journal
+
+    try:
+        if detect_journal_format(path) != "binary":
+            raise JournalError("it lacks the binary record magic")
+        recovery = recover_journal(path, strict=True)
+        if recovery.torn_tail:
+            raise JournalError("its last block is cut short")
+    except (JournalError, OSError) as error:
+        raise ProfilerError(f"cannot load record store file {path}: {error}") from None
+    return recovery.records
+
+
+def load_records(directory: str | Path) -> list[ProfileRecord]:
     """Load records previously written by :func:`save_records`.
 
-    ``format="auto"`` follows the manifest (stores written before the
-    ``format`` field exists are JSON); naming a format instead asserts
-    the store matches it, so a pipeline that expects binary records
-    fails loudly on a JSON store rather than silently reading it.
+    The manifest names the store's format: ``binary``, or ``json`` for
+    stores written before the binary codec (one JSON file per record;
+    a manifest without a ``format`` field is one of those).
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -196,49 +198,20 @@ def load_records(directory: str | Path, format: str = "auto") -> list[ProfileRec
     if manifest.get("schema") != SCHEMA_VERSION:
         raise ProfilerError(f"unsupported manifest schema {manifest.get('schema')!r}")
     found = manifest.get("format", "json")
-    if found not in RECORD_FORMATS:
+    if found not in ("binary", "json"):
         raise ProfilerError(f"unsupported record format {found!r} in {manifest_path}")
-    if format not in RECORD_FORMATS + ("auto",):
-        raise ProfilerError(
-            f"unknown record format {format!r}; expected auto, "
-            + ", or ".join(RECORD_FORMATS)
-        )
-    if format != "auto" and format != found:
-        raise ProfilerError(
-            f"records under {directory} are stored as {found}, not {format}"
-        )
     names = manifest.get("records")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ProfilerError(f"{manifest_path} does not list its record files")
     records = []
-    if found == "binary":
-        from repro.core.profiler import codec
-
-        for name in names:
-            try:
-                data = (directory / name).read_bytes()
-            except OSError as error:
-                raise ProfilerError(f"cannot read {directory / name}: {error.strerror}") from None
-            if not data.startswith(codec.MAGIC):
-                raise ProfilerError(
-                    f"{directory / name} lacks the binary record magic"
-                )
-            view = memoryview(data)
-            offset = len(codec.MAGIC)
-            while offset < len(view):
-                read = codec.read_block(view, offset)
-                if read.status != "ok":
-                    raise ProfilerError(
-                        f"corrupt record store {directory / name}: {read.error}"
-                    )
-                records.append(read.record)
-                offset = read.next_offset
-    else:
-        for name in names:
-            path = directory / name
-            try:
-                records.append(record_from_dict(_load_json(path)))
-            except (AttributeError, KeyError, TypeError, ValueError) as error:
-                raise ProfilerError(f"malformed record file {path}: {error!r}") from None
+    for name in names:
+        path = directory / name
+        if found == "binary":
+            records.extend(_load_block_file(path))
+            continue
+        try:
+            records.append(record_from_dict(_load_json(path)))
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as error:
+            raise ProfilerError(f"malformed record file {path}: {error!r}") from None
     records.sort(key=lambda record: record.index)
     return records

@@ -10,7 +10,6 @@ from repro.faults.inject import (
     FaultyProfileService,
     RecordTransit,
     corrupt_frame,
-    corrupt_record,
     count_injected,
     truncate_frame,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "SdcInjector",
     "SdcSpec",
     "corrupt_frame",
-    "corrupt_record",
     "count_injected",
     "load_plan",
     "save_plan",

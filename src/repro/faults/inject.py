@@ -5,7 +5,7 @@ fail. :class:`FaultyProfileService` sits where the client→master gRPC
 channel lives (Section III-A) and makes ``serve`` misbehave: transport
 errors, deadline timeouts, empty or force-truncated windows, injected
 latency. :class:`RecordTransit` models the producer→fleet wire and can
-drop records or corrupt them in flight.
+drop, corrupt or cut encoded record frames in flight.
 
 The injected failures are shaped so the pipeline's recovery story is
 testable: profile-boundary faults never advance the inner service's
@@ -16,12 +16,9 @@ events a failed one would have carried — which is what makes the
 
 from __future__ import annotations
 
-import copy
-
 from repro import obs
 from repro import rng as rng_mod
 from repro.core.profiler import codec
-from repro.core.profiler.record import ProfileRecord
 from repro.errors import FaultInjectionError
 from repro.faults.plan import FaultInjector, FaultKind, FaultPlan, FaultTarget
 from repro.runtime.rpc import ProfileRequest, ProfileResponse, ProfileService
@@ -120,37 +117,6 @@ class FaultyProfileService:
         )
 
 
-def corrupt_record(record: ProfileRecord, rng) -> ProfileRecord:
-    """A deep-copied, deterministically mangled version of ``record``.
-
-    The mangled copy is always detectable downstream: either its
-    checksum no longer matches the producer's, or its structure fails
-    validation (a step filed under the wrong key).
-    """
-    mangled = copy.deepcopy(record)
-    modes = ["window"]
-    if mangled.steps:
-        modes += ["count", "key"]
-    mode = modes[int(rng.random() * len(modes)) % len(modes)]
-    if mode == "count":
-        step = next(iter(mangled.steps.values()))
-        for stats in step.operators.values():
-            stats.count = -stats.count - 1
-            break
-        else:
-            mode = "window"
-    if mode == "key":
-        number, step = next(iter(mangled.steps.items()))
-        del mangled.steps[number]
-        mangled.steps[number + 1000] = step
-    if mode == "window":
-        mangled.window_start_us, mangled.window_end_us = (
-            mangled.window_end_us + 1.0,
-            mangled.window_start_us,
-        )
-    return mangled
-
-
 def corrupt_frame(frame: bytes, rng) -> bytes:
     """A copy of a binary wire frame with exactly one payload bit flipped.
 
@@ -184,15 +150,10 @@ def truncate_frame(frame: bytes) -> bytes:
 class RecordTransit:
     """The wire between a profiling producer and the fleet service.
 
-    Two wire models, matching the service's two ingest formats:
-
-    ``apply`` is the object wire (``--format json``): it returns the
-    record unchanged, a corrupted deep copy (CORRUPT/TRUNCATE), or
-    ``None`` (DROP — the record never arrives). ``apply_frame`` is the
-    binary wire: it operates on encoded frame *bytes* — a single flipped
-    payload bit (CORRUPT), a mid-block cut (TRUNCATE), or ``None``
-    (DROP). Either way the producer's own in-memory record stays
-    intact.
+    ``apply_frame`` operates on encoded frame *bytes*: it returns the
+    frame unchanged, a copy with a single flipped payload bit (CORRUPT),
+    a mid-block cut (TRUNCATE), or ``None`` (DROP — the record never
+    arrives). The producer's own in-memory record stays intact.
     """
 
     def __init__(self, plan: FaultPlan, key: str = ""):
@@ -202,24 +163,6 @@ class RecordTransit:
         self.dropped = 0
         self.corrupted = 0
         self.truncated = 0
-
-    def apply(self, record: ProfileRecord) -> ProfileRecord | None:
-        spec = self.injector.decide()
-        if spec is None:
-            return record
-        _INJECTED_TOTAL.labels(target="ingest", kind=spec.kind.value).inc()
-        if spec.kind is FaultKind.DROP:
-            self.dropped += 1
-            return None
-        if spec.kind is FaultKind.CORRUPT:
-            self.corrupted += 1
-            return corrupt_record(record, self._corrupt_rng)
-        if spec.kind is FaultKind.TRUNCATE:
-            # The object wire has no frames to cut; a mid-record cut
-            # manifests to the receiver as a mangled record.
-            self.truncated += 1
-            return corrupt_record(record, self._corrupt_rng)
-        return record
 
     def apply_frame(self, frame: bytes) -> bytes | None:
         spec = self.injector.decide()
@@ -242,7 +185,6 @@ __all__ = [
     "FaultyProfileService",
     "RecordTransit",
     "corrupt_frame",
-    "corrupt_record",
     "count_injected",
     "truncate_frame",
 ]

@@ -26,7 +26,6 @@ from repro.core.optimizer.knowledge import TuningKnowledgeBase
 from repro.core.optimizer.surrogate import TrainingPair, dedup_pairs
 from repro.core.profiler import codec
 from repro.core.profiler.record import ProfileRecord
-from repro.core.profiler.serialize import record_checksum
 from repro.errors import CodecError, OptimizerError, ProfilerError, ServeError
 from repro.serve.ingest import (
     DEFAULT_QUEUE_CAPACITY,
@@ -84,12 +83,10 @@ class FleetServiceOptions:
     are retained for inspection — the count is unbounded, the evidence
     is a ring buffer.
 
-    ``wire_format`` selects the producer→service encoding that
-    :func:`wire_sink` models: ``"binary"`` (default) ships each
-    record as one CRC-framed columnar block
-    (:mod:`repro.core.profiler.codec`) and skips the per-record JSON
-    checksum — the frame CRC is the integrity check; ``"json"`` is the
-    legacy object wire with the canonical-JSON checksum.
+    The producer→service wire that :func:`wire_sink` models has one
+    encoding: each record travels as one CRC-framed columnar block
+    (:mod:`repro.core.profiler.codec`), and the frame CRC is its
+    integrity check.
     """
 
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
@@ -99,22 +96,15 @@ class FleetServiceOptions:
     snapshot_operators: int = 3
     heartbeat_deadline: int | None = None
     quarantine_capacity: int = 32
-    wire_format: str = "binary"
 
     def __post_init__(self) -> None:
         if self.heartbeat_deadline is not None and self.heartbeat_deadline <= 0:
             raise ServeError("heartbeat_deadline must be positive when set")
         if self.quarantine_capacity <= 0:
             raise ServeError("quarantine_capacity must be positive")
-        if self.wire_format not in ("binary", "json"):
-            raise ServeError(
-                f"unknown wire_format {self.wire_format!r}; use binary or json"
-            )
 
 
-def wire_sink(
-    tier, job_id: str, wire_format: str, transit=None
-) -> Callable[[ProfileRecord], None]:
+def wire_sink(tier, job_id: str, transit=None) -> Callable[[ProfileRecord], None]:
     """A record callback that models one tenant's producer→service wire.
 
     ``tier`` is a :class:`FleetService` or a
@@ -122,48 +112,32 @@ def wire_sink(
     call on it, ``submit``, ``refuse`` or ``lose``, so both tiers see
     the same deliveries and the same refusal reasons.
 
-    On the binary wire each record is encoded as one CRC-framed block
-    *before* ``transit`` (a :class:`repro.faults.RecordTransit` or
-    anything with the same ``apply``/``apply_frame``) touches it: a
-    corrupted or truncated frame fails to decode and is refused under a
-    header-recovered stub, never reaching the queue. The frame CRC
-    replaces the JSON object wire's per-record checksum, sparing a
-    second full JSON encode per record. On the JSON wire the
-    producer-side checksum is stamped before transit, so object-level
-    corruption is detectable at submit. Either way a transit returning
-    None models a lost record: nothing reaches the queue, but the loss
-    still counts as a submitted-then-dropped record so the ingest SLO
-    sees it.
+    Each record is encoded as one CRC-framed block *before* ``transit``
+    (a :class:`repro.faults.RecordTransit` or anything with the same
+    ``apply_frame``) touches it: a corrupted or truncated frame fails to
+    decode and is refused under a header-recovered stub, never reaching
+    the queue. A transit returning None models a lost record: nothing
+    reaches the queue, but the loss still counts as a
+    submitted-then-dropped record so the ingest SLO sees it.
     """
-    if wire_format == "binary":
-        sequence = iter(range(1 << 62))
-
-        def _submit_binary(record: ProfileRecord) -> None:
-            frame = codec.encode_frame(next(sequence), record)
-            delivered = frame if transit is None else transit.apply_frame(frame)
-            if delivered is None:
-                tier.lose(job_id)
-                return
-            try:
-                decoded = codec.decode_frame(delivered)
-            except CodecError as error:
-                tier.refuse(
-                    job_id,
-                    codec.frame_stub(delivered),
-                    f"binary frame refused: {error}",
-                )
-                return
-            tier.submit(job_id, decoded)
-
-        return _submit_binary
+    sequence = iter(range(1 << 62))
 
     def _submit(record: ProfileRecord) -> None:
-        checksum = record_checksum(record)
-        delivered = record if transit is None else transit.apply(record)
+        frame = codec.encode_frame(next(sequence), record)
+        delivered = frame if transit is None else transit.apply_frame(frame)
         if delivered is None:
             tier.lose(job_id)
             return
-        tier.submit(job_id, delivered, checksum=checksum)
+        try:
+            decoded = codec.decode_frame(delivered)
+        except CodecError as error:
+            tier.refuse(
+                job_id,
+                codec.frame_stub(delivered),
+                f"binary frame refused: {error}",
+            )
+            return
+        tier.submit(job_id, decoded)
 
     return _submit
 
@@ -298,11 +272,11 @@ class FleetService:
     def sink(self, job_id: str, transit=None) -> Callable[[ProfileRecord], None]:
         """A record callback bound to one job (the producer hand-off).
 
-        See :func:`wire_sink` for what the configured ``wire_format``
-        and an optional ``transit`` do to each record on the way in.
+        See :func:`wire_sink` for what the wire and an optional
+        ``transit`` do to each record on the way in.
         """
         self.registry.get(job_id)
-        return wire_sink(self, job_id, self.options.wire_format, transit)
+        return wire_sink(self, job_id, transit)
 
     # --- ingestion ---------------------------------------------------------
 

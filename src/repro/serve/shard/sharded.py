@@ -228,7 +228,7 @@ class ShardedFleet:
         tenant's journal, so a :meth:`resize` replays each of them.
         """
         self._entry(job_id)
-        return wire_sink(self, job_id, self.options.service.wire_format, transit)
+        return wire_sink(self, job_id, transit)
 
     # --- ingestion ---------------------------------------------------------
 

@@ -7,6 +7,9 @@ safe and keeps the suite fast.
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,3 +129,26 @@ def bert_mrpc_analyzer(bert_mrpc_run) -> TPUPointAnalyzer:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+#: Record files in the encodings that are read but no longer written.
+LEGACY_DATA = Path(__file__).resolve().parent / "data" / "legacy"
+
+
+@pytest.fixture
+def legacy_copy(tmp_path):
+    """Copy a file or directory of ``tests/data/legacy`` into ``tmp_path``.
+
+    Tests that damage a legacy file edit the returned copy, never the
+    committed original.
+    """
+
+    def copy(name: str) -> Path:
+        source, target = LEGACY_DATA / name, tmp_path / name
+        if source.is_dir():
+            shutil.copytree(source, target)
+        else:
+            shutil.copyfile(source, target)
+        return target
+
+    return copy

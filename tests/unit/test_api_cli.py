@@ -214,44 +214,89 @@ class TestCliErrorHygiene:
         assert "Traceback" not in captured.err + captured.out
         return captured.err
 
+    @staticmethod
+    def _edit_legacy_record(directory: Path, edit) -> Path:
+        """Apply ``edit`` to the JSON payload of a legacy store's record #7."""
+        path = directory / "record-000007.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
     @pytest.mark.parametrize("store, bad", [("json", "nan"), ("binary", "inf")])
-    def test_analyze_rejects_non_finite_step_features(self, capsys, tmp_path, tiny_run, store, bad):
-        _, _, records = tiny_run
-        step = next(iter(records[0].steps.values()))
-        next(iter(step.operators.values())).total_duration_us = float(bad)
-        directory = save_records(records, tmp_path / "recs", format=store)
+    def test_analyze_rejects_non_finite_step_features(
+        self, capsys, tmp_path, tiny_run, legacy_copy, store, bad
+    ):
+        if store == "json":
+            directory = legacy_copy("records-json")
+            self._edit_legacy_record(
+                directory,
+                lambda payload: payload["steps"][0]["operators"][0].update(
+                    total_duration_us=float(bad)
+                ),
+            )
+        else:
+            _, _, records = tiny_run
+            step = next(iter(records[0].steps.values()))
+            next(iter(step.operators.values())).total_duration_us = float(bad)
+            directory = save_records(records, tmp_path / "recs")
         for method in ("kmeans", "dbscan"):
             err = self._analyze_fails_cleanly(
                 capsys, ["analyze", str(directory), "--method", method]
             )
             assert "finite" in err
 
-    def test_analyze_rejects_unparseable_record_file(self, capsys, tmp_path, tiny_run):
-        _, _, records = tiny_run
-        directory = save_records(records, tmp_path / "recs")
+    def test_analyze_rejects_unparseable_record_file(self, capsys, legacy_copy):
+        directory = legacy_copy("records-json")
         broken = sorted(directory.glob("record-*.json"))[0]
         broken.write_text('{"schema": 1, "index": ', encoding="utf-8")
         err = self._analyze_fails_cleanly(capsys, ["analyze", str(directory)])
         assert broken.name in err
 
     @pytest.mark.parametrize("store", ["json", "binary"])
-    def test_analyze_rejects_store_missing_a_record_file(self, capsys, tmp_path, tiny_run, store):
-        _, _, records = tiny_run
-        directory = save_records(records, tmp_path / "recs", format=store)
+    def test_analyze_rejects_store_missing_a_record_file(
+        self, capsys, tmp_path, tiny_run, legacy_copy, store
+    ):
+        if store == "json":
+            directory = legacy_copy("records-json")
+        else:
+            _, _, records = tiny_run
+            directory = save_records(records, tmp_path / "recs")
         missing = sorted(directory.glob("record*"))[0]
         missing.unlink()
         err = self._analyze_fails_cleanly(capsys, ["analyze", str(directory)])
         assert missing.name in err
 
-    def test_analyze_rejects_record_missing_a_field(self, capsys, tmp_path, tiny_run):
-        _, _, records = tiny_run
-        directory = save_records(records, tmp_path / "recs")
-        broken = sorted(directory.glob("record-*.json"))[0]
-        payload = json.loads(broken.read_text(encoding="utf-8"))
-        del payload["steps"][0]["operators"][0]["count"]
-        broken.write_text(json.dumps(payload), encoding="utf-8")
+    def test_analyze_rejects_record_missing_a_field(self, capsys, legacy_copy):
+        directory = legacy_copy("records-json")
+        broken = self._edit_legacy_record(
+            directory, lambda payload: payload["steps"][0]["operators"][0].pop("count")
+        )
         err = self._analyze_fails_cleanly(capsys, ["analyze", str(directory)])
         assert broken.name in err and "count" in err
+
+    @pytest.mark.parametrize("field", ["index", "step", "count"])
+    def test_analyze_rejects_infinite_integer_field(self, capsys, legacy_copy, field):
+        directory = legacy_copy("records-json")
+
+        def overflow(payload):
+            step = payload["steps"][0]
+            target = {"index": payload, "step": step, "count": step["operators"][0]}
+            target[field][field] = float("inf")
+
+        broken = self._edit_legacy_record(directory, overflow)
+        err = self._analyze_fails_cleanly(capsys, ["analyze", str(directory)])
+        assert broken.name in err
+
+    def test_recover_rejects_garbage(self, capsys, tmp_path):
+        garbage = tmp_path / "garbage"
+        garbage.write_bytes(b"not a journal at all")
+        code = cli_main(["recover", str(garbage)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err + captured.out
 
 
 class TestCliFaults:

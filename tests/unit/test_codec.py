@@ -1,5 +1,8 @@
 """The binary record codec: blocks, frames, journals, record stores."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,14 @@ def _typical_record(index=0):
             _step(2 * index + 1, [("fusion", DeviceKind.TPU, 80.0)]),
         ],
     )
+
+
+def _bad_utf8_block(seq: int, record: ProfileRecord) -> bytes:
+    """A block whose string table holds invalid UTF-8 under a valid CRC."""
+    block = codec.encode_block(seq, record)
+    header, payload = block[: codec.BLOCK_HEADER_BYTES], block[codec.BLOCK_HEADER_BYTES :]
+    payload = payload.replace(b"MatMul", b"\xffatMul", 1)
+    return header[:-4] + struct.pack("<I", zlib.crc32(payload)) + payload
 
 
 def _assert_identical(left: ProfileRecord, right: ProfileRecord) -> None:
@@ -147,6 +158,11 @@ class TestFrames:
     def test_stub_of_unreadable_frame_is_unattributable(self):
         assert codec.frame_stub(b"TP").index == -1
 
+    def test_invalid_utf8_name_is_a_codec_error(self):
+        frame = codec.FRAME_MAGIC + _bad_utf8_block(0, _typical_record())
+        with pytest.raises(CodecError, match="malformed record payload"):
+            codec.decode_frame(frame)
+
 
 class TestBinaryJournal:
     def _write(self, path, count=4):
@@ -208,40 +224,59 @@ class TestBinaryJournal:
         with pytest.raises(JournalError, match="version"):
             recover_journal(path)
 
-    def test_json_journals_still_recover(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        journal = RecordJournal(path, format="json")
-        records = [_typical_record(i) for i in range(3)]
-        for record in records:
-            journal.append(record)
-        journal.close()
+    def test_invalid_utf8_block_is_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "run.journal"
+        records = self._write(path, count=3)
+        raw = path.read_bytes()
+        first = codec.read_block(memoryview(raw), len(codec.MAGIC))
+        second = codec.read_block(memoryview(raw), first.next_offset)
+        path.write_bytes(
+            raw[: first.next_offset]
+            + _bad_utf8_block(1, records[1])
+            + raw[second.next_offset :]
+        )
+        recovery = recover_journal(path)
+        assert recovery.corrupt_entries == 1
+        assert not recovery.torn_tail
+        assert [record.index for record in recovery.records] == [0, 2]
+        with pytest.raises(JournalError, match="malformed record payload"):
+            recover_journal(path, strict=True)
+
+    def test_json_journals_still_recover(self, legacy_copy):
+        path = legacy_copy("run.jsonl")
         assert detect_journal_format(path) == "json"
         recovery = recover_journal(path)
         assert recovery.journal_format == "json"
         assert recovery.lossless
-        for original, recovered in zip(records, recovery.records):
+        twin = recover_journal(legacy_copy("run.journal"))
+        assert len(recovery.records) == len(twin.records) == 3
+        for original, recovered in zip(twin.records, recovery.records):
             _assert_identical(original, recovered)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(JournalError):
-            RecordJournal(tmp_path / "x", format="msgpack")
 
 
 class TestBinaryRecordStore:
     def test_round_trip(self, tmp_path):
         records = [_typical_record(i) for i in range(3)]
-        save_records(records, tmp_path / "store", format="binary")
+        save_records(records, tmp_path / "store")
         assert (tmp_path / "store" / "records.bin").exists()
         loaded = load_records(tmp_path / "store")
         for original, recovered in zip(records, loaded):
             _assert_identical(original, recovered)
 
-    def test_format_assertion(self, tmp_path):
-        save_records([_typical_record()], tmp_path / "store", format="binary")
-        load_records(tmp_path / "store", format="binary")
-        with pytest.raises(ProfilerError):
-            load_records(tmp_path / "store", format="json")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ProfilerError):
-            save_records([], tmp_path / "store", format="protobuf")
+    @pytest.mark.parametrize("damage", ["torn", "corrupt", "missing", "no-magic", "utf8"])
+    def test_damaged_store_file_is_named(self, tmp_path, damage):
+        records = [_typical_record(i) for i in range(3)]
+        path = save_records(records, tmp_path / "store") / "records.bin"
+        raw = path.read_bytes()
+        if damage == "torn":
+            path.write_bytes(raw[:-10])
+        elif damage == "corrupt":
+            path.write_bytes(raw[:-10] + bytes([raw[-10] ^ 0x10]) + raw[-9:])
+        elif damage == "missing":
+            path.unlink()
+        elif damage == "no-magic":
+            path.write_bytes(raw[len(codec.MAGIC) :])
+        else:
+            path.write_bytes(codec.MAGIC + _bad_utf8_block(0, records[0]))
+        with pytest.raises(ProfilerError, match="records.bin"):
+            load_records(tmp_path / "store")

@@ -10,12 +10,7 @@ from repro.core.profiler.serialize import record_checksum
 from repro.errors import AnalyzerError
 from repro.faults import FaultPlan, RecordTransit
 from repro.runtime.events import DeviceKind, StepKind
-from repro.serve import (
-    FleetService,
-    FleetServiceOptions,
-    ShardedFleet,
-    ShardedFleetOptions,
-)
+from repro.serve import FleetService, ShardedFleet, ShardedFleetOptions
 
 
 def _step(number, ops, duration_us=100.0, idle_us=20.0, mxu_flops=1e6):
@@ -178,21 +173,6 @@ class TestServeWiring:
             sink(record)
         service.pump()
         assert service.metrics.records_quarantined == 1
-
-    def test_json_wire_format_still_available(self):
-        service = FleetService(options=FleetServiceOptions(wire_format="json"))
-        service.register("bert-mrpc", job_id="t0")
-        sink = service.sink("t0")
-        records = _phased_records()
-        for record in records:
-            sink(record)
-        service.pump()
-        service.complete("t0")
-        assert service.metrics.records_quarantined == 0
-        assert np.array_equal(
-            service.phase_analysis("t0").labels,
-            TPUPointAnalyzer(records).kmeans_phases().labels,
-        )
 
     def test_phase_analysis_after_resize_matches_batch(self):
         records = _phased_records()
