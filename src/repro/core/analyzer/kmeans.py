@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.analyzer.distance import pairwise_sq_distances
+from repro.core.analyzer.distance import pairwise_sq_distances, row_sq_norms
 from repro.core.analyzer.elbow import find_elbow
 from repro.errors import ClusteringError
 from repro.rng import stream as rng_stream
@@ -109,13 +109,16 @@ def _restarts(
     seed_rows: dict[int, np.ndarray],
     max_iterations: int = _MAX_ITERATIONS,
     tolerance: float = _TOLERANCE,
+    matrix_sq: np.ndarray | None = None,
 ) -> tuple[list[KMeansResult], int]:
     """Every restart of one k, fit as one stacked Lloyd problem.
 
     ``streams`` holds each restart's generator, in restart order.
     Returns the fits in that order and the rounds taken: the stacked
     iterations, one shared distance call each. ``seed_rows`` caches the
-    k-means++ distance rows and may be shared across the fits of a sweep.
+    k-means++ distance rows and ``matrix_sq`` holds the matrix's squared
+    row norms (computed here when not given); a sweep computes both once
+    for all its fits.
     """
     n, dims = matrix.shape
     if not streams:
@@ -126,6 +129,8 @@ def _restarts(
         raise ClusteringError(f"k={k} exceeds the number of samples ({n})")
     if max_iterations <= 0:
         raise ClusteringError("max_iterations must be positive")
+    if matrix_sq is None:
+        matrix_sq = row_sq_norms(matrix)
 
     centers = np.stack([_seed(matrix, k, rng, seed_rows) for rng in streams])
     iterations = np.zeros(len(streams), dtype=int)
@@ -137,7 +142,8 @@ def _restarts(
         rounds += 1
         old = centers[active].reshape(-1, dims)
         # Assignment: one blocked Gram call, n x (restarts * k), for all of them.
-        distances = pairwise_sq_distances(matrix, old).reshape(n, active.size, k)
+        distances = pairwise_sq_distances(matrix, old, a_sq=matrix_sq)
+        distances = distances.reshape(n, active.size, k)
         cluster_ids = distances.argmin(axis=2)
         cluster_ids += np.arange(active.size) * k
         # Update: per-cluster sums of every restart in one matmul against
@@ -154,7 +160,7 @@ def _restarts(
             # Alone, as in an unstacked fit: a stacked call's last bits
             # depend on a column's place, and restarts that end in one
             # partition must tie in inertia for the earliest to win.
-            final = pairwise_sq_distances(matrix, centers[restart])
+            final = pairwise_sq_distances(matrix, centers[restart], a_sq=matrix_sq)
             labels = final.argmin(axis=1)
             fits[restart] = KMeansResult(
                 k=k,
@@ -176,6 +182,7 @@ def _fit(
     seed_rows: dict[int, np.ndarray],
     max_iterations: int = _MAX_ITERATIONS,
     tolerance: float = _TOLERANCE,
+    matrix_sq: np.ndarray | None = None,
 ) -> KMeansResult:
     """The lowest-inertia restart of k (ties go to the earliest restart).
 
@@ -187,7 +194,9 @@ def _fit(
     else:
         streams = [rng_stream(restart_key(k, restart), seed) for restart in range(n_init)]
     with obs.trace("analyzer.kmeans_fit", k=k) as span:
-        fits, rounds = _restarts(matrix, k, streams, seed_rows, max_iterations, tolerance)
+        fits, rounds = _restarts(
+            matrix, k, streams, seed_rows, max_iterations, tolerance, matrix_sq
+        )
         best = min(fits, key=lambda fit: fit.inertia)
         span.set(inertia=best.inertia, iterations=best.iterations, rounds=rounds)
     return best
@@ -229,7 +238,7 @@ def sweep_k(
     """Run k-means for every feasible k, as the analyzer's stage 2 prescribes.
 
     Each k is the fit :func:`kmeans` makes; the fits share one cache of
-    k-means++ distance rows.
+    k-means++ distance rows and one computation of the row norms.
     """
     feasible = [k for k in k_values if k <= matrix.shape[0]]
     if not feasible:
@@ -237,8 +246,12 @@ def sweep_k(
     matrix = _checked(matrix)
     rng = rng or np.random.default_rng(0)  # unused by seeded fits
     seed_rows: dict[int, np.ndarray] = {}
+    matrix_sq = row_sq_norms(matrix)
     with obs.trace("analyzer.kmeans_sweep", steps=matrix.shape[0]) as span:
-        results = {k: _fit(matrix, k, rng, seed, n_init, seed_rows) for k in feasible}
+        results = {
+            k: _fit(matrix, k, rng, seed, n_init, seed_rows, matrix_sq=matrix_sq)
+            for k in feasible
+        }
         span.set(k_count=len(results), seed_rows=len(seed_rows))
     return results
 

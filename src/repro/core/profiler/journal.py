@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import mmap
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,14 +143,16 @@ def detect_journal_format(path: str | Path) -> str:
     """``"binary"`` or ``"json"``, by magic bytes; raises on garbage.
 
     An empty file reads as JSONL (a binary journal always carries at
-    least its file magic). A file that starts with neither the binary
-    magic nor a JSON object is not a record journal at all — mixed or
-    garbage files get a clean :class:`JournalError`, not a traceback
-    from deep inside a parser.
+    least its file magic). A path that is missing or not a regular
+    file, or a file that starts with neither the binary magic nor a
+    JSON object, is not a record journal at all — it gets a clean
+    :class:`JournalError`, not a traceback from deep inside a parser.
     """
     path = Path(path)
     if not path.exists():
         raise JournalError(f"no journal at {path}")
+    if not path.is_file():
+        raise JournalError(f"{path} is not a record journal (not a regular file)")
     with open(path, "rb") as handle:
         head = handle.read(len(codec.MAGIC))
     if head.startswith(codec.MAGIC_PREFIX):
@@ -229,6 +232,12 @@ def _recover_binary(path: Path, strict: bool) -> JournalRecovery:
                 by_seq[read.seq] = read.record
                 last_seq = read.seq
                 offset = read.next_offset
+        except BaseException as error:
+            # The traceback keeps the raising frames, and any slices of
+            # the map they made, alive: closing the map under them would
+            # raise BufferError in place of this error. Clear them first.
+            traceback.clear_frames(error.__traceback__)
+            raise
         finally:
             view.release()
             if isinstance(buffer, mmap.mmap):

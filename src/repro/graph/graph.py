@@ -9,6 +9,7 @@ provides the topological order and traversal helpers that every pass
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import Iterator
 
 from repro.errors import GraphError
@@ -19,13 +20,39 @@ class Graph:
     """A directed acyclic graph of :class:`Operation` nodes."""
 
     def __init__(self, name: str = "graph"):
-        self.name = name
+        self._name = name
         self._ops: dict[str, Operation] = {}
+
+    @property
+    def name(self) -> str:
+        """The graph's name, fixed at construction."""
+        return self._name
 
     # --- construction ------------------------------------------------------
 
+    def freeze(self) -> Graph:
+        """Make the graph read-only, so it can be shared; returns it.
+
+        Adding or removing an op then raises :class:`GraphError`, and a
+        pass that would rewrite the graph fails. The ops themselves are
+        not frozen; compiling never edits them (it replaces the ops it
+        folds and fuses a copy of the TPU side).
+        """
+        self._ops = MappingProxyType(self._ops)
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        """Whether :meth:`freeze` was called."""
+        return isinstance(self._ops, MappingProxyType)
+
+    def _check_mutable(self) -> None:
+        if self.frozen:
+            raise GraphError(f"graph {self.name!r} is frozen")
+
     def add(self, op: Operation) -> Operation:
         """Add an operation; duplicate names are rejected."""
+        self._check_mutable()
         if op.name in self._ops:
             raise GraphError(f"duplicate operation name {op.name!r}")
         self._ops[op.name] = op
@@ -33,6 +60,7 @@ class Graph:
 
     def remove(self, name: str) -> None:
         """Remove an op; fails if other ops still consume it."""
+        self._check_mutable()
         if name not in self._ops:
             raise GraphError(f"unknown operation {name!r}")
         for other in self._ops.values():

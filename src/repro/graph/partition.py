@@ -10,7 +10,9 @@ data-exchange operators enter the execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.errors import PartitionError
 from repro.graph.graph import Graph
@@ -26,15 +28,18 @@ class CrossDeviceEdge:
     num_bytes: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionResult:
-    """Outcome of partitioning: per-device op lists and boundary edges."""
+    """Outcome of partitioning: per-device ops and boundary edges.
 
-    host_ops: list[Operation] = field(default_factory=list)
-    tpu_ops: list[Operation] = field(default_factory=list)
-    infeed_edges: list[CrossDeviceEdge] = field(default_factory=list)  # host → TPU
-    outfeed_edges: list[CrossDeviceEdge] = field(default_factory=list)  # TPU → host
-    assignment: dict[str, Placement] = field(default_factory=dict)
+    Read-only, like the compiled program that holds it.
+    """
+
+    host_ops: tuple[Operation, ...]
+    tpu_ops: tuple[Operation, ...]
+    infeed_edges: tuple[CrossDeviceEdge, ...]  # host → TPU
+    outfeed_edges: tuple[CrossDeviceEdge, ...]  # TPU → host
+    assignment: Mapping[str, Placement]
 
     @property
     def infeed_bytes(self) -> float:
@@ -81,22 +86,26 @@ def partition(graph: Graph) -> PartitionResult:
         missing = [op.name for op in order if op.name not in assignment]
         raise PartitionError(f"unplaced operations: {missing}")
 
-    result = PartitionResult(assignment=assignment)
+    ops: dict[Placement, list[Operation]] = {Placement.HOST: [], Placement.TPU: []}
+    edges: dict[Placement, list[CrossDeviceEdge]] = {Placement.HOST: [], Placement.TPU: []}
     for op in order:
-        target = result.tpu_ops if assignment[op.name] is Placement.TPU else result.host_ops
-        target.append(op)
+        ops[assignment[op.name]].append(op)
         for input_name in op.inputs:
             producer_place = assignment[input_name]
             consumer_place = assignment[op.name]
             if producer_place is consumer_place:
                 continue
-            edge = CrossDeviceEdge(
-                producer=input_name,
-                consumer=op.name,
-                num_bytes=graph.op(input_name).output_bytes,
+            edges[consumer_place].append(
+                CrossDeviceEdge(
+                    producer=input_name,
+                    consumer=op.name,
+                    num_bytes=graph.op(input_name).output_bytes,
+                )
             )
-            if consumer_place is Placement.TPU:
-                result.infeed_edges.append(edge)
-            else:
-                result.outfeed_edges.append(edge)
-    return result
+    return PartitionResult(
+        host_ops=tuple(ops[Placement.HOST]),
+        tpu_ops=tuple(ops[Placement.TPU]),
+        infeed_edges=tuple(edges[Placement.TPU]),
+        outfeed_edges=tuple(edges[Placement.HOST]),
+        assignment=MappingProxyType(assignment),
+    )

@@ -5,25 +5,38 @@ Table I: it builds the per-step training/eval graphs (which the master
 compiles into a TPU schedule), describes its input pipeline's stages for
 a given dataset, and supplies default session parameters. Everything a
 :class:`~repro.runtime.estimator.TPUEstimator` needs comes from here.
+
+A graph and its program depend only on the model that builds the graph,
+the batch size, the dataset and the compile target, so
+:meth:`WorkloadModel.build_estimator` builds and compiles each distinct
+graph once per process and shares the frozen graph and read-only
+program among the estimators that run it, the way XLA caches compiled
+programs. Each session still charges the program's simulated compile
+time; only host work is saved.
 """
 
 from __future__ import annotations
 
 import abc
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.datasets.base import DatasetKind, DatasetSpec
 from repro.graph.graph import Graph
 from repro.host.pipeline import InputPipeline, PipelineConfig
 from repro.host.stages import StageKind, StageSpec
 from repro.host.vm import HostVM
 from repro.runtime.estimator import TPUEstimator
+from repro.runtime.master import CompiledProgram, compile_graph, compile_target
 from repro.runtime.session import SessionPlan
 from repro.storage.bucket import Bucket
 from repro.storage.objects import StorageObject
-from repro.tpu.specs import TpuGeneration
+from repro.tpu.slice import TpuSliceSpec
+from repro.tpu.specs import TpuChipSpec, TpuGeneration
 
 # Transfer-stage operator mix: the locked infeed DMA plus its helpers.
 _TRANSFER_OPS = (
@@ -92,8 +105,67 @@ def apply_mxu_efficiency(graph: Graph, efficiency: float) -> Graph:
     return graph
 
 
+#: Compiled graphs one process keeps, least recently used dropped first:
+#: the train and eval graphs of every registered workload on two
+#: generations fit.
+_MEMO_SIZE = 64
+
+# key -> (graph model, frozen graph, program). Keys name the model by
+# id(); the entry holds the model, so the id cannot be reused meanwhile.
+_memo: OrderedDict[tuple, tuple[WorkloadModel, Graph, CompiledProgram]] = OrderedDict()
+_memo_lock = threading.Lock()
+
+_COMPILE_REQUESTS = obs.counter(
+    "repro_runtime_compile_cache_total",
+    "Graph compile requests from workload models, by memo result (hit or miss).",
+    labels=("result",),
+)
+
+
+def _compiled(
+    model: WorkloadModel,
+    role: str,
+    batch_size: int,
+    dataset: DatasetSpec,
+    target: TpuChipSpec | TpuSliceSpec,
+) -> tuple[Graph, CompiledProgram]:
+    """``model``'s ``role`` ("train" or "eval") graph and its program.
+
+    A miss builds the graph, compiles it with :func:`compile_graph` and
+    freezes it; every later request with the same key shares both.
+    """
+    key = (id(model), role, batch_size, dataset, target)
+    with obs.trace("runtime.compile") as span:
+        with _memo_lock:
+            entry = _memo.get(key)
+            result = "miss" if entry is None else "hit"
+            if entry is None:
+                build = model.build_train_graph if role == "train" else model.build_eval_graph
+                graph = build(batch_size, dataset)
+                program = compile_graph(graph, target)
+                entry = _memo[key] = (model, graph.freeze(), program)
+                if len(_memo) > _MEMO_SIZE:
+                    _memo.popitem(last=False)
+            else:
+                _memo.move_to_end(key)
+        _, graph, program = entry
+        span.set(graph=graph.name, cache=result)
+    _COMPILE_REQUESTS.labels(result=result).inc()
+    return graph, program
+
+
+def _clear_compile_memo() -> None:
+    """Forget every compiled graph, as in a fresh process (for tests)."""
+    with _memo_lock:
+        _memo.clear()
+
+
 class WorkloadModel(abc.ABC):
-    """Behavioural model of one TPU workload."""
+    """Behavioural model of one TPU workload.
+
+    A model is fixed once it has built an estimator: its graphs are
+    memoized by model identity (see the module docstring).
+    """
 
     #: model name as it appears in Table I ("BERT", "ResNet", ...)
     name: str = "workload"
@@ -114,6 +186,11 @@ class WorkloadModel(abc.ABC):
     def build_eval_graph(self, batch_size: int, dataset: DatasetSpec) -> Graph:
         """The per-step eval graph; defaults to the training graph."""
         return self.build_train_graph(batch_size, dataset)
+
+    @property
+    def graph_model(self) -> WorkloadModel:
+        """The model whose graphs this one builds: itself, unless it wraps one."""
+        return self
 
     # --- defaults -----------------------------------------------------------
 
@@ -206,12 +283,20 @@ class WorkloadModel(abc.ABC):
                 bytes_per_example_device=dataset.device_bytes_per_example,
             )
 
+        target = compile_target(generation)
+        train_graph, train_program = _compiled(
+            self.graph_model, "train", plan.batch_size, dataset, target
+        )
+        eval_graph, eval_program = _compiled(
+            self.graph_model, "eval", plan.batch_size, dataset, target
+        )
         return TPUEstimator(
-            train_graph=self.build_train_graph(plan.batch_size, dataset),
+            train_graph=train_graph,
             pipeline_factory=pipeline_factory,
             plan=plan,
             generation=generation,
             pipeline_config=config,
-            eval_graph=self.build_eval_graph(plan.batch_size, dataset),
+            eval_graph=eval_graph,
             rng=rng,
+            programs=(train_program, eval_program),
         )

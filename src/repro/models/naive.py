@@ -43,6 +43,10 @@ class NaiveVariant(WorkloadModel):
         self.name = f"Naive{self.base.name}"
         self.workload_type = self.base.workload_type
 
+    @property
+    def graph_model(self) -> WorkloadModel:
+        return self.base.graph_model
+
     def build_train_graph(self, batch_size: int, dataset: DatasetSpec) -> Graph:
         return self.base.build_train_graph(batch_size, dataset)
 

@@ -23,14 +23,14 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.graph.graph import Graph
 from repro.host.pipeline import InputPipeline, PipelineConfig
-from repro.runtime.master import CompiledProgram, compile_graph
+from repro.runtime.master import CompiledProgram, compile_graph, compile_target
 from repro.runtime.rpc import ProfileService, ProfileStub
 from repro.runtime.session import SessionPlan, SessionSummary, StepHook, TrainingSession
 from repro.storage.bucket import Bucket
 from repro.storage.checkpoints import CheckpointStore
 from repro.tpu.device import TpuDevice
 from repro.tpu.slice import TpuSliceSpec
-from repro.tpu.specs import TpuGeneration, chip_spec
+from repro.tpu.specs import TpuGeneration
 
 PipelineFactory = Callable[[PipelineConfig, Bucket], InputPipeline]
 
@@ -47,6 +47,9 @@ class TPUEstimator:
         pipeline_config: initial input-pipeline tuning knobs.
         eval_graph: optional distinct eval-step graph.
         rng: deterministic generator for per-batch jitter.
+        programs: the train and eval programs, when the graphs were
+            already compiled for this generation (a workload model's
+            memo passes them); otherwise the first session compiles.
     """
 
     train_graph: Graph
@@ -56,19 +59,20 @@ class TPUEstimator:
     pipeline_config: PipelineConfig | None = None
     eval_graph: Graph | None = None
     rng: np.random.Generator | None = None
+    programs: tuple[CompiledProgram, CompiledProgram | None] | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.generation, TpuSliceSpec):
-            self.slice_spec: TpuSliceSpec | None = self.generation
-            self.spec = self.generation.aggregate_chip_spec()
+        target = compile_target(self.generation)
+        if isinstance(target, TpuSliceSpec):
+            self.slice_spec: TpuSliceSpec | None = target
+            self.spec = target.aggregate_chip_spec()
         else:
             self.slice_spec = None
-            self.spec = chip_spec(self.generation)
+            self.spec = target
         self.bucket = Bucket("training-bucket")
         self.checkpoint_store = CheckpointStore(self.bucket)
         self._session: TrainingSession | None = None
-        self._train_program: CompiledProgram | None = None
-        self._eval_program: CompiledProgram | None = None
+        self._train_program, self._eval_program = self.programs or (None, None)
         self._sdc_injector = None
 
     # --- compilation -----------------------------------------------------

@@ -9,7 +9,7 @@ the TPU partition into the per-step op schedule the device model executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.graph.constant_folding import FoldingReport, fold_constants
 from repro.graph.fusion import FusionReport, fuse
@@ -19,7 +19,7 @@ from repro.graph.partition import PartitionResult, partition
 from repro.tpu.device import TpuOpCategory, TpuOpWork
 from repro.tpu.mxu import MatmulShape, MxuModel
 from repro.tpu.slice import TpuSliceSpec
-from repro.tpu.specs import TpuChipSpec, TpuGeneration
+from repro.tpu.specs import TpuChipSpec, TpuGeneration, chip_spec
 
 # Fraction of chip peak available to non-MXU (vector) compute.
 _VPU_PEAK_FRACTION = 0.04
@@ -37,9 +37,11 @@ _V3_FILL_PENALTY = 0.62
 _COMPILE_US_PER_OP = 250.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledProgram:
     """A lowered, per-step executable program.
+
+    Read-only, so one program can serve every session that runs it.
 
     Attributes:
         tpu_schedule: ordered TPU op work items executed each step; a
@@ -52,7 +54,7 @@ class CompiledProgram:
     """
 
     tpu_schedule: tuple[TpuOpWork, ...]
-    host_ops: list[Operation]
+    host_ops: tuple[Operation, ...]
     partition: PartitionResult
     folding: FoldingReport
     fusion: FusionReport
@@ -114,6 +116,15 @@ def _lower_memory(op: Operation) -> TpuOpWork:
         num_bytes=op.output_bytes,
         fixed_us=_KERNEL_LAUNCH_US,
     )
+
+
+def compile_target(
+    generation: TpuGeneration | str | TpuChipSpec | TpuSliceSpec,
+) -> TpuChipSpec | TpuSliceSpec:
+    """What a graph compiles against: a slice as given, else its chip spec."""
+    if isinstance(generation, TpuSliceSpec):
+        return generation
+    return chip_spec(generation)
 
 
 def compile_graph(

@@ -198,6 +198,14 @@ class TestCliErrorHygiene:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_recover_rejects_a_directory(self, capsys, tmp_path):
+        code = cli_main(["recover", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err + captured.out
+
     def test_invalid_threshold_combination(self, capsys):
         code = cli_main(
             ["profile", "bert-mrpc", "--method", "kmeans", "--threshold", "0.5"]

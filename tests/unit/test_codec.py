@@ -1,12 +1,14 @@
 """The binary record codec: blocks, frames, journals, record stores."""
 
+import mmap
 import struct
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.profiler import codec
+from repro.core.profiler import codec, journal
 from repro.core.profiler.journal import (
     RecordJournal,
     detect_journal_format,
@@ -241,6 +243,49 @@ class TestBinaryJournal:
         assert [record.index for record in recovery.records] == [0, 2]
         with pytest.raises(JournalError, match="malformed record payload"):
             recover_journal(path, strict=True)
+
+    def test_directory_is_a_clean_error(self, tmp_path):
+        with pytest.raises(JournalError, match="not a regular file"):
+            recover_journal(tmp_path)
+
+    @pytest.fixture
+    def maps(self, monkeypatch):
+        """Every memory map the journal reader opens, to check it is closed."""
+        opened = []
+
+        class Recorded(mmap.mmap):
+            def __new__(cls, *args, **kwargs):
+                opened.append(super().__new__(cls, *args, **kwargs))
+                return opened[-1]
+
+        monkeypatch.setattr(
+            journal, "mmap", SimpleNamespace(mmap=Recorded, ACCESS_READ=mmap.ACCESS_READ)
+        )
+        return opened
+
+    def test_error_escaping_a_block_read_is_not_masked(self, tmp_path, monkeypatch, maps):
+        path = tmp_path / "run.journal"
+        self._write(path)
+
+        def read_block(view, offset):
+            payload = view[offset : offset + 8]  # a live slice in the raising frame
+            raise RuntimeError(f"cannot parse {len(payload)} bytes")
+
+        monkeypatch.setattr(codec, "read_block", read_block)
+        with pytest.raises(RuntimeError, match="cannot parse"):
+            recover_journal(path)
+        assert len(maps) == 1 and maps[0].closed
+
+    def test_map_is_closed_after_a_scan_and_a_strict_error(self, tmp_path, maps):
+        path = tmp_path / "run.journal"
+        self._write(path)
+        raw = bytearray(path.read_bytes())
+        raw[len(codec.MAGIC) + codec.BLOCK_HEADER_BYTES + 3] ^= 0x10
+        path.write_bytes(bytes(raw))
+        assert recover_journal(path).corrupt_entries == 1
+        with pytest.raises(JournalError):
+            recover_journal(path, strict=True)
+        assert len(maps) == 2 and all(buffer.closed for buffer in maps)
 
     def test_json_journals_still_recover(self, legacy_copy):
         path = legacy_copy("run.jsonl")

@@ -94,4 +94,4 @@ def test_op_names_deduplicated_in_order():
 
 def test_host_partition_empty_for_pure_tpu_graph():
     program = compile_graph(_train_like_graph(), TPU_V2)
-    assert program.host_ops == []
+    assert program.host_ops == ()

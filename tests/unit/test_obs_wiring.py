@@ -68,9 +68,9 @@ class TestAnalyzerWiring:
         distance_calls = []
         kernel = kmeans_mod.pairwise_sq_distances
 
-        def counting(matrix, centers):
+        def counting(matrix, centers, **kwargs):
             distance_calls.append(centers.shape[0])
-            return kernel(matrix, centers)
+            return kernel(matrix, centers, **kwargs)
 
         monkeypatch.setattr(kmeans_mod, "pairwise_sq_distances", counting)
         analyzer.kmeans_sweep(range(1, 5))
