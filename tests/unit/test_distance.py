@@ -148,6 +148,18 @@ class TestNeighborGraph:
         assert np.array_equal(graph.indptr, exact.indptr)
         assert np.array_equal(graph.indices, exact.indices)
 
+    def test_revisited_rows_keep_the_pass_distances(self):
+        # eps * eps rounds one ulp above the cap, so every row is revisited;
+        # a one-row product of these rows misses the block's last bits and
+        # used to drop point 0's edges at exactly eps.
+        x = 1.7063207530598135
+        matrix = np.array([[2.0, x]] + [[x, x]] * 4)
+        graph = build_neighbor_graph(matrix)
+        exact = build_neighbor_graph(matrix, graph.eps)
+        assert np.array_equal(graph.indptr, exact.indptr)
+        assert np.array_equal(graph.indices, exact.indices)
+        assert graph.counts.tolist() == [5] * 5
+
     def test_one_pass_per_build(self, matrix):
         reset_pass_counter()
         build_neighbor_graph(matrix)
