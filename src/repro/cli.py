@@ -54,7 +54,8 @@ deterministic fault plan (:mod:`repro.faults`) — see
 ``profile``, ``analyze``, and ``fleet`` accept ``--trace-out`` /
 ``--metrics-out`` to dump the toolchain's own spans (chrome://tracing
 JSON) and metrics snapshot (Prometheus text, or JSON for ``.json``
-paths) — see :mod:`repro.obs` and ``docs/observability.md``.
+paths) — see :mod:`repro.obs` and ``docs/observability.md``. Spans are
+recorded only for a command given ``--trace-out``.
 """
 
 from __future__ import annotations
@@ -1039,9 +1040,13 @@ def main(argv: list[str] | None = None) -> int:
     Library errors (unknown workload, unreadable records, ...) print a
     one-line message and exit 1 instead of dumping a traceback.
     """
+    from repro import obs
     from repro.errors import ReproError
 
     args = _build_parser().parse_args(argv)
+    # --trace-out records spans for this command only, then puts the
+    # process-wide switch back as it found it.
+    tracing = obs.set_tracing_enabled(True) if getattr(args, "trace_out", None) else None
     dispatch = {
         "list": lambda: _cmd_list(),
         "profile": lambda: _cmd_profile(args),
@@ -1065,6 +1070,9 @@ def main(argv: list[str] | None = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    finally:
+        if tracing is not None:
+            obs.set_tracing_enabled(tracing)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ vectors and picks k with the elbow method on the sum of squared distances
 to centroids (Section IV-A), mirroring SimPoint's methodology with the
 elbow heuristic replacing the BIC.
 
-Each k is one fit of ``n_init`` restarts (:func:`_restarts`). The
-restarts are seeded one after another with k-means++, then advance
-through Lloyd's iterations together as one stacked problem: every round
-makes one call into the blocked shared distance kernel
+Each k is one fit of ``n_init`` restarts. Every restart of every k is
+first seeded with k-means++ (:func:`_seed`, all chains in one batched
+pass); each k's restarts then advance through Lloyd's iterations
+together as one stacked problem (:func:`_restarts`): every round makes
+one call into the blocked shared distance kernel
 (:mod:`repro.core.analyzer.distance`) for all restarts still running,
 and one vectorized center update. A restart whose centers converged
 drops out and takes its last assignment alone.
@@ -23,6 +24,7 @@ fit at k; the elbow-chosen fit is therefore taken from the sweep
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -79,127 +81,143 @@ def _row_sq(matrix: np.ndarray, row: int, seed_rows: dict[int, np.ndarray]) -> n
 
 
 def _seed(
-    matrix: np.ndarray, k: int, rng: np.random.Generator, seed_rows: dict[int, np.ndarray]
-) -> np.ndarray:
-    """k-means++ seeding: spread initial centers by squared distance.
+    matrix: np.ndarray,
+    ks: list[int],
+    streams: list[np.random.Generator],
+    seed_rows: dict[int, np.ndarray],
+) -> list[list[int]]:
+    """k-means++ picks of every chain ``(ks[i], streams[i])``, one pick step at a time.
 
     Each pick is the draw ``rng.choice(n, p=closest_sq / total)`` makes:
-    one ``rng.random()`` searched in the normalized cumulative sum.
+    one ``rng.random()`` from the chain's own generator, searched in the
+    normalized cumulative sum. The live chains' sums run as one array; the
+    count of entries ``<= u`` is the index ``searchsorted(u, side="right")``
+    returns. Chains that share a generator must be seeded one call each.
     """
-    first = int(rng.integers(matrix.shape[0]))
-    picks = [first]
-    closest_sq = _row_sq(matrix, first, seed_rows)
-    while len(picks) < k:
-        total = closest_sq.sum()
-        if total <= 0.0:
-            # All points coincide with chosen centers; reuse any point.
-            picks += [first] * (k - len(picks))
-            break
-        cdf = np.cumsum(closest_sq / total)
-        cdf /= cdf[-1]
-        picks.append(int(cdf.searchsorted(rng.random(), side="right")))
-        closest_sq = np.minimum(closest_sq, _row_sq(matrix, picks[-1], seed_rows))
-    return matrix[picks]
+    n = matrix.shape[0]
+    picks = [[int(rng.integers(n))] for rng in streams]
+    live = [chain for chain, k in enumerate(ks) if k > 1]
+    closest = np.array([_row_sq(matrix, picks[chain][0], seed_rows) for chain in live])
+    while live:
+        total = closest.sum(axis=1)
+        spent = total <= 0.0
+        if spent.any():
+            # All points coincide with chosen centers; reuse the first pick.
+            for chain in compress(live, spent):
+                picks[chain] += picks[chain][:1] * (ks[chain] - len(picks[chain]))
+            live, closest = list(compress(live, ~spent)), closest[~spent]
+            continue
+        cdf = np.cumsum(closest / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        draws = np.array([streams[chain].random() for chain in live])
+        for chain, row in zip(live, (cdf <= draws[:, None]).sum(axis=1).tolist()):
+            picks[chain].append(row)
+        going = np.array([len(picks[chain]) < ks[chain] for chain in live], dtype=bool)
+        live = list(compress(live, going))
+        rows = [_row_sq(matrix, picks[chain][-1], seed_rows) for chain in live]
+        closest = np.minimum(closest[going], np.array(rows).reshape(-1, n))
+    return picks
 
 
 def _restarts(
     matrix: np.ndarray,
-    k: int,
-    streams: list[np.random.Generator],
-    seed_rows: dict[int, np.ndarray],
+    seeds: np.ndarray,
+    matrix_sq: np.ndarray,
     max_iterations: int = _MAX_ITERATIONS,
     tolerance: float = _TOLERANCE,
-    matrix_sq: np.ndarray | None = None,
 ) -> tuple[list[KMeansResult], int]:
-    """Every restart of one k, fit as one stacked Lloyd problem.
+    """Every restart of one k, fit from its seeds (restarts x k x dims) as one Lloyd problem.
 
-    ``streams`` holds each restart's generator, in restart order.
-    Returns the fits in that order and the rounds taken: the stacked
-    iterations, one shared distance call each. ``seed_rows`` caches the
-    k-means++ distance rows and ``matrix_sq`` holds the matrix's squared
-    row norms (computed here when not given); a sweep computes both once
-    for all its fits.
+    Returns the fits in restart order and the rounds taken: the stacked
+    iterations, one shared distance call each. ``matrix_sq`` holds the
+    matrix's squared row norms (:func:`row_sq_norms`).
     """
-    n, dims = matrix.shape
-    if not streams:
-        raise ClusteringError("n_init must be positive")
-    if k <= 0:
-        raise ClusteringError("k must be positive")
-    if k > n:
-        raise ClusteringError(f"k={k} exceeds the number of samples ({n})")
-    if max_iterations <= 0:
-        raise ClusteringError("max_iterations must be positive")
-    if matrix_sq is None:
-        matrix_sq = row_sq_norms(matrix)
-
-    centers = np.stack([_seed(matrix, k, rng, seed_rows) for rng in streams])
-    iterations = np.zeros(len(streams), dtype=int)
-    fits: list[KMeansResult] = [None] * len(streams)
-    active = np.arange(len(streams))
+    restarts, k, dims = seeds.shape
+    n = matrix.shape[0]
+    fits: list[KMeansResult] = [None] * restarts
+    active = list(range(restarts))
+    centers = seeds.reshape(-1, dims)  # the active restarts' centers, stacked
     rows = np.arange(n)
     rounds = 0
-    while active.size:
+    while active:
         rounds += 1
-        old = centers[active].reshape(-1, dims)
+        stacked = len(active)
         # Assignment: one blocked Gram call, n x (restarts * k), for all of them.
-        distances = pairwise_sq_distances(matrix, old, a_sq=matrix_sq)
-        distances = distances.reshape(n, active.size, k)
-        cluster_ids = distances.argmin(axis=2)
-        cluster_ids += np.arange(active.size) * k
+        distances = pairwise_sq_distances(matrix, centers, a_sq=matrix_sq)
+        cluster_ids = distances.reshape(n, stacked, k).argmin(axis=2)
+        cluster_ids += np.arange(0, stacked * k, k)
         # Update: per-cluster sums of every restart in one matmul against
         # a one-hot membership matrix; an empty cluster keeps its center.
-        members = np.zeros((n, active.size * k))
+        members = np.zeros((n, stacked * k))
         members[rows[:, None], cluster_ids] = 1.0
-        counts = np.bincount(cluster_ids.ravel(), minlength=active.size * k)[:, None]
-        new = np.where(counts > 0, (members.T @ matrix) / np.maximum(counts, 1), old)
-        shift = ((new - old) ** 2).reshape(active.size, k * dims).sum(axis=1)
-        centers[active] = new.reshape(active.size, k, dims)
-        iterations[active] += 1
-        done = (shift <= tolerance) | (iterations[active] >= max_iterations)
-        for restart in active[done]:
+        counts = np.bincount(cluster_ids.ravel(), minlength=stacked * k)[:, None]
+        new = np.where(counts > 0, (members.T @ matrix) / np.maximum(counts, 1), centers)
+        shifts = ((new - centers) ** 2).reshape(stacked, k * dims).sum(axis=1).tolist()
+        going = []
+        for slot, restart in enumerate(active):
+            if not (shifts[slot] <= tolerance or rounds >= max_iterations):
+                going.append(slot)
+                continue
             # Alone, as in an unstacked fit: a stacked call's last bits
             # depend on a column's place, and restarts that end in one
             # partition must tie in inertia for the earliest to win.
-            final = pairwise_sq_distances(matrix, centers[restart], a_sq=matrix_sq)
+            block = new[slot * k : (slot + 1) * k]
+            final = pairwise_sq_distances(matrix, block, a_sq=matrix_sq)
             labels = final.argmin(axis=1)
             fits[restart] = KMeansResult(
                 k=k,
                 labels=labels,
-                centers=centers[restart].copy(),
+                centers=block.copy(),
                 inertia=float(final[rows, labels].sum()),
-                iterations=int(iterations[restart]),
+                iterations=rounds,
             )
-        active = active[~done]
+        if len(going) < stacked:  # re-gather only when a restart drops out
+            new = new.reshape(stacked, k, dims)[going].reshape(-1, dims)
+        centers, active = new, [active[slot] for slot in going]
     return fits, rounds
 
 
-def _fit(
+def _fits(
     matrix: np.ndarray,
-    k: int,
+    k_values: list[int],
     rng: np.random.Generator | None,
     seed: int | None,
     n_init: int,
     seed_rows: dict[int, np.ndarray],
     max_iterations: int = _MAX_ITERATIONS,
     tolerance: float = _TOLERANCE,
-    matrix_sq: np.ndarray | None = None,
-) -> KMeansResult:
-    """The lowest-inertia restart of k (ties go to the earliest restart).
+) -> dict[int, KMeansResult]:
+    """The lowest-inertia restart of every k (ties go to the earliest restart).
 
-    Without a ``seed`` every restart draws from ``rng`` after the one
-    before it.
+    Every chain is seeded first. With a ``seed`` each draws from its own
+    substream, all in one batched pass; without one, every restart draws
+    from ``rng`` after the one before it, so chains are seeded one by one.
     """
+    if n_init <= 0:
+        raise ClusteringError("n_init must be positive")
+    if min(k_values) <= 0:
+        raise ClusteringError("k must be positive")
+    if max(k_values) > len(matrix):
+        raise ClusteringError(f"k={max(k_values)} exceeds the number of samples ({len(matrix)})")
+    if max_iterations <= 0:
+        raise ClusteringError("max_iterations must be positive")
+    ks = [k for k in k_values for _ in range(n_init)]
     if seed is None:
-        streams = [rng] * n_init
+        rng = rng or np.random.default_rng(0)
+        picks = [chain for k in ks for chain in _seed(matrix, [k], [rng], seed_rows)]
     else:
-        streams = [rng_stream(restart_key(k, restart), seed) for restart in range(n_init)]
-    with obs.trace("analyzer.kmeans_fit", k=k) as span:
-        fits, rounds = _restarts(
-            matrix, k, streams, seed_rows, max_iterations, tolerance, matrix_sq
-        )
-        best = min(fits, key=lambda fit: fit.inertia)
-        span.set(inertia=best.inertia, iterations=best.iterations, rounds=rounds)
-    return best
+        keys = [restart_key(k, restart) for k in k_values for restart in range(n_init)]
+        picks = _seed(matrix, ks, [rng_stream(key, seed) for key in keys], seed_rows)
+    matrix_sq = row_sq_norms(matrix)
+    results = {}
+    for index, k in enumerate(k_values):
+        with obs.trace("analyzer.kmeans_fit", k=k) as span:
+            seeds = matrix[picks[index * n_init : (index + 1) * n_init]]
+            fits, rounds = _restarts(matrix, seeds, matrix_sq, max_iterations, tolerance)
+            best = min(fits, key=lambda fit: fit.inertia)
+            span.set(inertia=best.inertia, iterations=best.iterations, rounds=rounds)
+        results[k] = best
+    return results
 
 
 def kmeans(
@@ -222,9 +240,7 @@ def kmeans(
     shared sequential stream; passing ``seed`` gives each restart its
     own derived substream (:func:`restart_key`).
     """
-    if seed is None:
-        rng = rng or np.random.default_rng(0)
-    return _fit(_checked(matrix), k, rng, seed, n_init, {}, max_iterations, tolerance)
+    return _fits(_checked(matrix), [k], rng, seed, n_init, {}, max_iterations, tolerance)[k]
 
 
 def sweep_k(
@@ -240,18 +256,13 @@ def sweep_k(
     Each k is the fit :func:`kmeans` makes; the fits share one cache of
     k-means++ distance rows and one computation of the row norms.
     """
+    matrix = _checked(matrix)
     feasible = [k for k in k_values if k <= matrix.shape[0]]
     if not feasible:
         raise ClusteringError("no feasible k values for the sample count")
-    matrix = _checked(matrix)
-    rng = rng or np.random.default_rng(0)  # unused by seeded fits
     seed_rows: dict[int, np.ndarray] = {}
-    matrix_sq = row_sq_norms(matrix)
     with obs.trace("analyzer.kmeans_sweep", steps=matrix.shape[0]) as span:
-        results = {
-            k: _fit(matrix, k, rng, seed, n_init, seed_rows, matrix_sq=matrix_sq)
-            for k in feasible
-        }
+        results = _fits(matrix, feasible, rng, seed, n_init, seed_rows)
         span.set(k_count=len(results), seed_rows=len(seed_rows))
     return results
 

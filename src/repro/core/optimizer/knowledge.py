@@ -25,6 +25,7 @@ dependency.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -120,27 +121,32 @@ class KnowledgeEntry:
         only feed the surrogate's training set, so losing one must
         never invalidate the entry's warm-start configuration.
         """
+        if not isinstance(document, dict):
+            raise StorageError(f"malformed knowledge entry: not an object: {document!r}")
         try:
             observations = []
             for row in document.get("observations", []):
                 try:
-                    observations.append(
-                        {
-                            "config": dict(row["config"]),
-                            "throughput": float(row["throughput"]),
-                        }
-                    )
-                except (KeyError, TypeError, ValueError):
+                    row = {"config": dict(row["config"]), "throughput": float(row["throughput"])}
+                except (KeyError, TypeError, ValueError, OverflowError):
                     continue
+                if math.isfinite(row["throughput"]):
+                    observations.append(row)
+            signature = document["signature"]
+            if not isinstance(signature, list) or not all(isinstance(n, str) for n in signature):
+                raise ValueError("'signature' must be a list of operator names")
+            improvement = float(document["improvement"])
+            if not math.isfinite(improvement):
+                raise ValueError(f"non-finite improvement {improvement}")
             return cls(
-                signature=frozenset(document["signature"]),
+                signature=frozenset(signature),
                 config=dict(document["config"]),
-                improvement=float(document["improvement"]),
+                improvement=improvement,
                 trials=int(document["trials"]),
                 workload=str(document.get("workload", "")),
                 observations=tuple(observations),
             )
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError, OptimizerError) as error:
             raise StorageError(f"malformed knowledge entry: {error}")
 
 
@@ -190,8 +196,9 @@ class TuningKnowledgeBase:
             document = store.load(_DOCUMENT)
         except StorageError:
             document = None
-        if document is not None:
-            for raw in document.get("entries", []):
+        entries = [] if document is None else document.get("entries", [])
+        if isinstance(entries, list):  # anything else is a corrupt document
+            for raw in entries:
                 try:
                     kb._entries.append(KnowledgeEntry.from_document(raw))
                 except StorageError:

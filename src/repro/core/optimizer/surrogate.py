@@ -133,10 +133,16 @@ class TrainingPair:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if not self.signature:
-            raise OptimizerError("training pair needs a non-empty signature")
-        if self.throughput <= 0:
-            raise OptimizerError("training pair needs a positive throughput")
+        if not self.signature or not all(isinstance(name, str) for name in self.signature):
+            raise OptimizerError("training pair needs a non-empty signature of operator names")
+        if not (self.throughput > 0 and math.isfinite(self.throughput)):
+            raise OptimizerError("training pair needs a positive finite throughput")
+        try:
+            knobs = self.key()[1]
+        except (TypeError, ValueError, OverflowError) as error:
+            raise OptimizerError(f"training pair has a non-numeric knob: {error}") from None
+        if not all(math.isfinite(value) for value in knobs):
+            raise OptimizerError("training pair has a non-finite knob")
 
     def key(self) -> tuple:
         """Dedup key: the signature plus the tuned knob values."""
@@ -164,7 +170,7 @@ class TrainingPair:
                 throughput=float(document["throughput"]),
                 source=str(document.get("source", "")),
             )
-        except (KeyError, TypeError, ValueError, OptimizerError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError, OptimizerError) as error:
             raise StorageError(f"malformed training pair: {error}")
 
 
@@ -227,8 +233,9 @@ def load_corpus(path: str | Path) -> list[TrainingPair]:
         return []
     if not isinstance(document, dict):
         return []
+    rows = document.get("pairs", [])
     pairs: list[TrainingPair] = []
-    for raw in document.get("pairs", []):
+    for raw in rows if isinstance(rows, list) else ():
         try:
             pairs.append(TrainingPair.from_document(raw))
         except StorageError:

@@ -338,10 +338,13 @@ class FaultPlan:
         sdc = payload.get("sdc", [])
         if not isinstance(sdc, list):
             raise ConfigurationError("fault plan 'sdc' must be a list")
+        client = payload.get("client", {})
+        if not isinstance(client, dict):
+            raise ConfigurationError("fault plan 'client' must be an object")
         return cls(
             seed=coerce_int(payload.get("seed", 0), "seed"),
             specs=tuple(FaultSpec.from_dict(entry) for entry in faults),
-            client=dict(payload.get("client", {})),
+            client=dict(client),
             sdc=tuple(SdcSpec.from_dict(entry) for entry in sdc),
         )
 

@@ -11,9 +11,10 @@ chrome://tracing file and a Prometheus snapshot rather than guesswork.
 
 Surface area:
 
-* ``trace("analyzer.kmeans_sweep", ...)`` — nested, thread-safe spans;
-  :func:`write_trace` exports chrome://tracing JSON (same viewer as the
-  workload traces the analyzer emits).
+* ``trace("analyzer.kmeans_sweep", ...)`` — nested, thread-safe spans,
+  recorded once :func:`set_tracing_enabled` (or ``--trace-out``) turns
+  the default tracer on; :func:`write_trace` exports chrome://tracing
+  JSON (same viewer as the workload traces the analyzer emits).
 * :func:`counter` / :func:`gauge` / :func:`histogram` — named families
   on the default registry; :func:`write_metrics` exports Prometheus
   text or JSON.

@@ -128,8 +128,9 @@ def load_health(path: str | Path) -> dict:
 
     Checks the ring payloads structurally (via
     :meth:`~repro.obs.timeseries.RingStore.from_dict`) so a torn ring —
-    mismatched tick/value arrays, non-increasing ticks — fails loudly.
-    Returns the validated payload.
+    mismatched tick/value arrays, non-increasing ticks — fails loudly,
+    and checks the shard views and SLO rows :func:`summarize_health`
+    reads. Returns the validated payload.
     """
     from repro.obs.timeseries import RingStore
 
@@ -138,9 +139,15 @@ def load_health(path: str | Path) -> dict:
     rings = payload.get("rings")
     if rings is None:
         raise ObsError(f"{path} is not a health dump (no 'rings' object)")
+    shards = payload.get("shards") or {}
+    if not isinstance(shards, dict):
+        raise ObsError(f"{path} holds a malformed health dump: 'shards' is not an object")
+    slos = payload.get("slos", [])
+    if not isinstance(slos, list) or not all(_is_slo_row(status) for status in slos):
+        raise ObsError(f"{path} holds a malformed health dump: bad 'slos' array")
     try:
         RingStore.from_dict(rings)
-        for label, shard_rings in (payload.get("shards") or {}).items():
+        for label, shard_rings in shards.items():
             if not isinstance(label, str):
                 raise ObsError(f"bad shard label {label!r}")
             RingStore.from_dict(shard_rings)
@@ -153,6 +160,17 @@ def load_health(path: str | Path) -> dict:
 
 
 _EVENT_KEYS = ("tick", "rule", "scope", "transition")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_slo_row(status) -> bool:
+    """Whether one ``slos`` row holds what :func:`summarize_health` formats."""
+    return isinstance(status, dict) and all(
+        _is_number(status.get(key, 0.0)) for key in ("ratio", "target")
+    )
 
 
 def _validate_alerts(path: Path, payload: dict) -> None:
@@ -171,6 +189,8 @@ def _validate_alerts(path: Path, payload: dict) -> None:
             raise ObsError(
                 f"{path} holds an alert event with a bad transition: {event!r}"
             )
+        if not _is_number(event["tick"]):
+            raise ObsError(f"{path} holds an alert event with a bad tick: {event!r}")
     for key in ("rules", "active"):
         entries = payload.get(key, [])
         if not isinstance(entries, list) or any(

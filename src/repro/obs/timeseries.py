@@ -166,8 +166,14 @@ class RingBuffer:
             if previous is not None and tick <= previous:
                 raise ObsError(f"ring dump ticks are not increasing at {tick}")
             previous = tick
-            ring.append(tick, float(value))
-        ring.evicted = int(payload.get("evicted", 0) or 0)
+            try:
+                ring.append(tick, float(value))
+            except OverflowError:
+                raise ObsError(f"ring dump value at tick {tick} is past float range") from None
+        evicted = payload.get("evicted") or 0
+        if not isinstance(evicted, int) or evicted < 0:
+            raise ObsError(f"ring dump has a bad evicted count: {evicted!r}")
+        ring.evicted = evicted
         return ring
 
 

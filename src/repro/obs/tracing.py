@@ -258,8 +258,10 @@ class Tracer:
         return path
 
 
-#: The process-wide tracer every instrumented module records into.
-_DEFAULT_TRACER = Tracer()
+#: The process-wide tracer every instrumented module records into. It
+#: starts disabled, so a process keeps no spans nobody reads;
+#: ``--trace-out`` and :func:`set_tracing_enabled` turn it on.
+_DEFAULT_TRACER = Tracer(enabled=False)
 
 
 def default_tracer() -> Tracer:
@@ -273,7 +275,7 @@ def trace(name: str, **attributes):
 
 
 def set_tracing_enabled(enabled: bool) -> bool:
-    """Toggle span collection process-wide; returns the previous state."""
+    """Toggle span collection process-wide (off at import); returns the previous state."""
     previous = _DEFAULT_TRACER.enabled
     _DEFAULT_TRACER.enabled = bool(enabled)
     return previous

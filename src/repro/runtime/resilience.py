@@ -31,6 +31,7 @@ from repro.runtime.rpc import (
     ProfileResponse,
     ProfileStub,
 )
+from repro.tpu.sdc import coerce_float, coerce_int
 
 _RETRIES_TOTAL = obs.counter(
     "repro_profiler_retries_total",
@@ -165,7 +166,12 @@ class CircuitBreaker:
 
 
 def client_from_config(config: dict) -> tuple[RetryPolicy, CircuitBreaker]:
-    """Build the client policy pair from a fault plan's ``client`` block."""
+    """Build the client policy pair from a fault plan's ``client`` block.
+
+    Every value must be a finite number, and an integer where it counts
+    attempts, failures or requests; anything else raises
+    :class:`~repro.errors.ConfigurationError` naming the field.
+    """
     if not isinstance(config, dict):
         raise ConfigurationError("client policy must be an object")
     retry_keys = {
@@ -178,10 +184,17 @@ def client_from_config(config: dict) -> tuple[RetryPolicy, CircuitBreaker]:
         raise ConfigurationError(
             f"unknown client policy fields: {', '.join(sorted(unknown))}"
         )
-    policy = RetryPolicy(**{key: config[key] for key in retry_keys if key in config})
+    counts = {"max_attempts", "breaker_threshold", "breaker_cooldown"}
+    values = {}
+    for key, value in config.items():
+        if key == "deadline_ms" and value is None:
+            values[key] = None  # no per-request deadline
+        else:
+            values[key] = (coerce_int if key in counts else coerce_float)(value, key)
+    policy = RetryPolicy(**{key: values[key] for key in retry_keys if key in values})
     breaker = CircuitBreaker(
-        failure_threshold=config.get("breaker_threshold", 8),
-        cooldown_requests=config.get("breaker_cooldown", 4),
+        failure_threshold=values.get("breaker_threshold", 8),
+        cooldown_requests=values.get("breaker_cooldown", 4),
     )
     return policy, breaker
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from repro import rng as rng_mod
@@ -94,22 +95,28 @@ def _stable_salt(*parts) -> int:
 
 
 def coerce_float(value, name: str) -> float:
+    """``value`` as a finite float, or a :class:`ConfigurationError` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigurationError(f"{name!r} must be a number, got {value!r}")
     try:
-        return float(value)
-    except ValueError:
+        result = float(value)
+    except (ValueError, OverflowError):
         raise ConfigurationError(f"{name!r} must be a number, got {value!r}") from None
+    if not math.isfinite(result):
+        raise ConfigurationError(f"{name!r} must be a finite number, got {value!r}")
+    return result
 
 
 def coerce_int(value, name: str) -> int:
+    """``value`` as an int when it is integral, or a :class:`ConfigurationError` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigurationError(f"{name!r} must be an integer, got {value!r}")
     try:
         result = int(value)
-    except ValueError:
+        integral = float(result) == float(value)
+    except (ValueError, OverflowError):  # NaN, infinity, or past float range
         raise ConfigurationError(f"{name!r} must be an integer, got {value!r}") from None
-    if float(result) != float(value):
+    if not integral:
         raise ConfigurationError(f"{name!r} must be an integer, got {value!r}")
     return result
 

@@ -1,5 +1,9 @@
 """The stacked k-means engine against the per-restart Lloyd loop.
 
+The batched k-means++ seeder is checked on its own first: every chain of
+a batch must get the picks it gets when seeded alone, which are the
+picks ``Generator.choice(n, p=...)`` makes.
+
 :func:`_reference_fit` is the loop that fit each restart alone before
 the restarts of a k were stacked: k-means++ seeding drawn with
 ``Generator.choice``, a Lloyd iteration of one distance call and one
@@ -19,8 +23,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.analyzer.distance import pairwise_sq_distances
-from repro.core.analyzer.kmeans import _restarts, restart_key, sweep_k
+from repro.core.analyzer.distance import pairwise_sq_distances, row_sq_norms
+from repro.core.analyzer.kmeans import _restarts, _seed, restart_key, sweep_k
 from repro.rng import stream as rng_stream
 
 #: Allowed center error, as a fraction of the largest |feature|.
@@ -60,6 +64,30 @@ def _reference_fit(matrix, k, rng, max_iterations=300, tolerance=1e-6):
     return labels, centers, float(distances[np.arange(n), labels].sum()), iteration
 
 
+def _choice_picks(matrix, k, rng):
+    """k-means++ picks of one chain, each drawn with ``Generator.choice``."""
+    n = matrix.shape[0]
+    picks = [int(rng.integers(n))]
+    closest_sq = ((matrix - matrix[picks[0]]) ** 2).sum(axis=1)
+    while len(picks) < k:
+        total = closest_sq.sum()
+        if total <= 0.0:
+            return picks + [picks[0]] * (k - len(picks))
+        picks.append(int(rng.choice(n, p=closest_sq / total)))
+        closest_sq = np.minimum(closest_sq, ((matrix - matrix[picks[-1]]) ** 2).sum(axis=1))
+    return picks
+
+
+def assert_batch_matches_alone(matrix, chains):
+    """``chains`` of ``(k, generator seed)``, seeded as one batch and one by one."""
+    ks = [k for k, _ in chains]
+    batched = _seed(matrix, ks, [np.random.default_rng(seed) for _, seed in chains], {})
+    assert [len(picks) for picks in batched] == ks
+    for (k, seed), picks in zip(chains, batched):
+        assert picks == _seed(matrix, [k], [np.random.default_rng(seed)], {})[0]
+        assert picks == _choice_picks(matrix, k, np.random.default_rng(seed))
+
+
 def _same_partition(labels, other):
     """Whether two labelings group the points alike, whatever the ids."""
     pairs = set(zip(labels.tolist(), other.tolist()))
@@ -86,7 +114,12 @@ def assert_matches_reference(matrix, n_init, seed, seeded, exact_labels=True):
     seed_rows = {}
     best = {}
     for k in range(1, n + 1):
-        fits, rounds = _restarts(matrix, k, streams(k, 0), seed_rows)
+        chains = streams(k, 0)
+        if seeded:
+            picks = _seed(matrix, [k] * n_init, chains, seed_rows)
+        else:  # one shared generator: seed chain by chain, in its draw order
+            picks = [_seed(matrix, [k], [rng], seed_rows)[0] for rng in chains]
+        fits, rounds = _restarts(matrix, matrix[picks], row_sq_norms(matrix))
         reference = streams(k, 1)
         for restart, fit in enumerate(fits):
             labels, centers, inertia, iterations = _reference_fit(matrix, k, reference[restart])
@@ -143,3 +176,24 @@ def test_every_restart_matches_the_per_restart_loop(matrix, n_init, seed, seeded
 @given(matrices_with_duplicate_rows(st.just(1)), st.integers(1, 4), st.integers(0, 1000), st.booleans())
 def test_one_column_restarts_match_up_to_label_ids(matrix, n_init, seed, seeded):
     assert_matches_reference(matrix, n_init, seed, seeded, exact_labels=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrices_with_duplicate_rows(st.integers(1, 6)),
+    st.lists(st.tuples(st.integers(1, 24), st.integers(0, 2**32 - 1)), min_size=1, max_size=12),
+)
+def test_batched_seeding_gives_each_chain_its_picks_alone(matrix, chains):
+    n = matrix.shape[0]
+    assert_batch_matches_alone(matrix, [(min(k, n), seed) for k, seed in chains])
+
+
+def test_chains_that_run_out_of_distance_mid_seeding():
+    # Three distinct rows: a chain of k > 3 runs out after its third
+    # distinct pick and reuses its first, while shorter chains still draw.
+    matrix = np.repeat([[0.0, 0.0], [1.0, 5.0], [-4.0, 2.0]], 4, axis=0)
+    chains = [(k, seed) for k in (1, 2, 3, 5, 9, 12) for seed in (0, 11)]
+    assert_batch_matches_alone(matrix, chains)
+    picks = _seed(matrix, [12], [np.random.default_rng(0)], {})[0]
+    assert len({tuple(matrix[row]) for row in picks[:3]}) == 3
+    assert picks[3:] == [picks[0]] * 9

@@ -1,6 +1,8 @@
 """The TPUPoint front-end API (Figure 2) and the CLI."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,8 @@ from repro.cli import main as cli_main
 from repro.core.api import TPUPoint
 from repro.core.profiler.serialize import save_records
 from repro.errors import ProfilerError
+
+DATA = Path(__file__).resolve().parents[1] / "data" / "loaders"
 
 
 class TestTPUPointApi:
@@ -107,6 +111,39 @@ class TestCli:
         assert "hit, similarity 1.00" in warm
         assert "warm start      : yes" in warm
 
+    def test_tune_skips_malformed_knowledge_entries(self, capsys, tmp_path):
+        document = json.loads(
+            (DATA / "knowledge" / "tuning_knowledge.json").read_text(encoding="utf-8")
+        )
+        valid = document["entries"][0]
+        document["entries"] = [
+            {**valid, "trials": 0},
+            {**valid, "signature": []},
+            {**valid, "improvement": float("nan")},
+            "not an entry",
+        ]
+        (tmp_path / "tuning_knowledge.json").write_text(json.dumps(document), encoding="utf-8")
+        argv = [
+            "tune", "naive-dcgan-mnist",
+            "--strategy", "racing",
+            "--knowledge-dir", str(tmp_path),
+            "--trial-steps", "3",
+        ]
+        assert cli_main(argv) == 0
+        assert "0 entries" in capsys.readouterr().out
+
+    def test_tune_surrogate_with_a_non_list_corpus(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text('{"pairs": 5}', encoding="utf-8")
+        argv = [
+            "tune", "naive-dcgan-mnist",
+            "--strategy", "surrogate",
+            "--surrogate-corpus", str(corpus),
+            "--trial-steps", "3",
+        ]
+        assert cli_main(argv) == 0
+        assert "offline autotune (surrogate)" in capsys.readouterr().out
+
     def test_tune_rejects_unknown_strategy(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["tune", "naive-dcgan-mnist", "--strategy", "grid"])
@@ -190,6 +227,42 @@ class TestCliErrorHygiene:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "fault plan" in err
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            '{"client": 5}',
+            '{"seed": 1e999}',
+            '{"faults": [{"kind": "error", "every_nth": Infinity}]}',
+            '{"sdc": [{"model": "bit_flip", "every_nth": 1, "last_step": Infinity}]}',
+            '{"faults": [{"kind": "error", "nth": [1]}], "client": {"max_attempts": "x"}}',
+            '{"faults": [{"kind": "error", "nth": [1]}], "client": {"max_attempts": NaN}}',
+            '{"faults": [{"kind": "delay", "nth": [1], "delay_ms": NaN}]}',
+        ],
+        ids=[
+            "client-not-an-object", "seed-inf", "every_nth-inf", "sdc-last_step-inf",
+            "max_attempts-string", "max_attempts-nan", "delay_ms-nan",
+        ],
+    )
+    def test_malformed_fault_plan_is_one_error_line(self, capsys, tmp_path, plan):
+        path = tmp_path / "plan.json"
+        path.write_text(plan, encoding="utf-8")
+        code = cli_main(["profile", "dcgan-mnist", "--breakpoint", "2", "--faults", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_malformed_health_dump_is_one_error_line(self, capsys, tmp_path):
+        valid = json.loads((DATA / "health.json").read_text(encoding="utf-8"))
+        for damage in ({"shards": [1]}, {"slos": [5]}, {"slos": [{"ratio": "high"}]}):
+            path = tmp_path / "health.json"
+            path.write_text(json.dumps({**valid, **damage}), encoding="utf-8")
+            code = cli_main(["obs", str(path)])
+            captured = capsys.readouterr()
+            assert code == 1, damage
+            assert captured.err.startswith("error:")
+            assert len(captured.err.strip().splitlines()) == 1
 
     def test_recover_missing_journal(self, capsys, tmp_path):
         code = cli_main(["recover", str(tmp_path / "gone.jsonl")])
@@ -404,6 +477,26 @@ class TestCliObsDumps:
         samples = obs.parse_prometheus(metrics.read_text(encoding="utf-8"))
         assert "repro_optimizer_strategy_trials_total" in samples
         assert "repro_optimizer_improvement_ratio" in samples
+
+    def test_the_default_tracer_starts_disabled(self):
+        probe = "from repro import obs; print(obs.default_tracer().enabled)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_trace_out_restores_the_tracing_switch(self, capsys, tmp_path, enabled):
+        from repro import obs
+
+        previous = obs.set_tracing_enabled(enabled)
+        try:
+            trace = tmp_path / "trace.json"
+            assert cli_main(["profile", "dcgan-mnist", "--trace-out", str(trace)]) == 0
+            assert any(e.get("name") == "profiler.stop" for e in obs.load_trace(trace))
+            assert obs.default_tracer().enabled is enabled
+        finally:
+            obs.set_tracing_enabled(previous)
 
     def test_goodput_writes_obs_dumps(self, capsys, tmp_path):
         trace = tmp_path / "goodput_trace.json"

@@ -73,6 +73,14 @@ class TestKMeans:
         sweep = sweep_k(data, range(1, 16), rng)
         assert max(sweep) == 4
 
+    def test_sweep_accepts_a_list_matrix(self):
+        data = _blobs(np.random.default_rng(0), per=4).tolist()
+        from_list = sweep_k(data, range(1, 4), seed=3)
+        from_array = sweep_k(np.array(data), range(1, 4), seed=3)
+        for k, fit in from_list.items():
+            assert np.array_equal(fit.labels, from_array[k].labels)
+            assert fit.inertia == from_array[k].inertia
+
 
 class TestDbscan:
     def test_finds_dense_clusters_and_noise(self, rng):

@@ -159,6 +159,29 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             load_plan(bad)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"client": 5},
+            {"seed": float("inf")},
+            {"seed": float("nan")},
+            {"seed": 10**400},
+            {"faults": [{"kind": "error", "every_nth": float("inf")}]},
+            {"faults": [{"kind": "delay", "nth": [1], "delay_ms": float("nan")}]},
+            {"faults": [{"kind": "error", "probability": float("nan")}]},
+            {"sdc": [{"model": "bit_flip", "every_nth": 1, "first_step": float("-inf")}]},
+            {"sdc": [{"model": "bit_flip", "every_nth": 1, "severity": float("inf")}]},
+        ],
+        ids=[
+            "client-not-an-object", "seed-inf", "seed-nan", "seed-past-float-range",
+            "every_nth-inf", "delay_ms-nan", "probability-nan", "sdc-first_step-inf",
+            "sdc-severity-inf",
+        ],
+    )
+    def test_non_finite_or_misshapen_values_are_configuration_errors(self, payload):
+        with pytest.raises(ConfigurationError):
+            FaultPlan.from_dict(payload)
+
     def test_injector_is_deterministic(self):
         plan = FaultPlan.from_dict(
             {"seed": 9, "faults": [{"kind": "error", "probability": 0.4}]}
@@ -339,6 +362,35 @@ class TestCircuitBreaker:
         )
         assert policy.max_attempts == 2
         assert breaker.failure_threshold == 5
+
+    @pytest.mark.parametrize(
+        "client",
+        [
+            {"max_attempts": float("nan")},
+            {"max_attempts": 2.5},
+            {"max_attempts": "three"},
+            {"base_backoff_ms": float("nan")},
+            {"max_backoff_ms": float("inf")},
+            {"jitter_fraction": [0.1]},
+            {"deadline_ms": float("nan")},
+            {"breaker_threshold": float("nan")},
+            {"breaker_cooldown": {"n": 2}},
+        ],
+        ids=lambda client: json.dumps(client),
+    )
+    def test_client_values_must_be_finite_numbers(self, client):
+        field = next(iter(client))
+        with pytest.raises(ConfigurationError, match=field):
+            client_from_config(client)
+
+    def test_client_numbers_are_coerced(self):
+        policy, breaker = client_from_config(
+            {"max_attempts": "3", "base_backoff_ms": 10, "deadline_ms": None,
+             "breaker_cooldown": 2.0}
+        )
+        assert policy.max_attempts == 3 and policy.base_backoff_ms == 10.0
+        assert policy.deadline_ms is None
+        assert breaker.cooldown_requests == 2
 
 
 class TestResilientProfileStub:

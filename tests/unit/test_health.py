@@ -845,6 +845,33 @@ class TestInspectHealthErrors:
         with pytest.raises(ObsError, match="bad transition"):
             obs.load_alerts(path)
 
+    @pytest.mark.parametrize("tick", [None, [1], {"t": 1}, "soon"])
+    def test_alert_event_bad_tick_rejected(self, tmp_path, tick):
+        path = tmp_path / "alerts.json"
+        payload = {
+            "rules": [],
+            "events": [{"tick": tick, "rule": "R", "scope": "fleet", "transition": "fired"}],
+        }
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ObsError, match="bad tick"):
+            obs.summarize(path)
+
+    @pytest.mark.parametrize("evicted", ["3", [1], -1, float("inf")])
+    def test_ring_bad_evicted_count_rejected(self, tmp_path, evicted):
+        path = tmp_path / "health.json"
+        ring = {"capacity": 4, "evicted": evicted, "ticks": [1], "values": [2.0]}
+        payload = {"rings": {"capacity": 4, "series": {"s": ring}}}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ObsError, match="evicted"):
+            obs.summarize(path)
+
+    def test_ring_value_past_float_range_rejected(self, tmp_path):
+        path = tmp_path / "health.json"
+        ring = {"capacity": 4, "ticks": [1], "values": [10**400]}
+        path.write_text(json.dumps({"rings": {"capacity": 4, "series": {"s": ring}}}))
+        with pytest.raises(ObsError, match="float range"):
+            obs.load_health(path)
+
     def test_alert_event_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "alerts.json"
         payload = {"rules": [], "events": [{"tick": 1, "rule": "R"}]}

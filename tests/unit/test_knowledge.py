@@ -195,6 +195,43 @@ class TestTuningKnowledgeBase:
         assert len(kb) == 1
 
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"trials": float("inf")},
+            {"trials": float("nan")},
+            {"trials": 0},
+            {"signature": []},
+            {"signature": "fusion"},
+            {"signature": [1, 2]},
+            {"improvement": float("nan")},
+            {"improvement": float("-inf")},
+            {"improvement": 10**400},
+            {"observations": 5},
+        ],
+        ids=[
+            "trials-inf", "trials-nan", "trials-zero", "signature-empty",
+            "signature-a-string", "signature-not-names", "improvement-nan",
+            "improvement-minus-inf", "improvement-past-float-range", "observations-not-a-list",
+        ],
+    )
+    def test_each_malformed_entry_is_skipped(self, tmp_path, damage):
+        valid = _entry().to_document()
+        document = {"version": 1, "entries": [valid, {**valid, **damage}]}
+        (tmp_path / "tuning_knowledge.json").write_text(json.dumps(document), encoding="utf-8")
+        assert TuningKnowledgeBase.open(tmp_path).entries == (_entry(),)
+
+    @pytest.mark.parametrize("entries", [5, "entries", {"a": 1}, None])
+    def test_non_list_entries_open_empty(self, tmp_path, entries):
+        document = {"version": 1, "entries": entries}
+        (tmp_path / "tuning_knowledge.json").write_text(json.dumps(document), encoding="utf-8")
+        assert len(TuningKnowledgeBase.open(tmp_path)) == 0
+
+    def test_non_object_entry_is_a_storage_error(self):
+        with pytest.raises(StorageError):
+            KnowledgeEntry.from_document("entry")
+
+
 class TestObservations:
     _ROWS = (
         {"config": {"prefetch_depth": 2}, "throughput": 1.0},

@@ -26,7 +26,10 @@ def _spans_after(marker):
 
 @pytest.fixture
 def span_marker():
-    return len(obs.default_tracer().spans())
+    # The default tracer starts disabled; record spans for this test only.
+    previous = obs.set_tracing_enabled(True)
+    yield len(obs.default_tracer().spans())
+    obs.set_tracing_enabled(previous)
 
 
 class TestProfilerWiring:

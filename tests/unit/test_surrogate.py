@@ -221,6 +221,34 @@ class TestCorpus:
         path.write_text(json.dumps({"pairs": rows}), encoding="utf-8")
         assert len(load_corpus(path)) == 1
 
+    @pytest.mark.parametrize("pairs", [5, "pairs", {"a": 1}, None])
+    def test_non_list_pairs_load_as_none(self, tmp_path, pairs):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({"pairs": pairs}), encoding="utf-8")
+        assert load_corpus(path) == []
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"throughput": float("nan")},
+            {"throughput": float("inf")},
+            {"throughput": 10**400},
+            {"signature": [1, 2]},
+            {"config": {"prefetch_depth": [4]}},
+            {"config": {"shuffle_buffer": "big"}},
+            {"config": {"num_parallel_calls": float("inf")}},
+        ],
+        ids=[
+            "throughput-nan", "throughput-inf", "throughput-past-float-range",
+            "signature-not-names", "knob-a-list", "knob-a-word", "knob-inf",
+        ],
+    )
+    def test_rows_that_cannot_be_featurized_are_skipped(self, tmp_path, damage):
+        path = tmp_path / "corpus.json"
+        rows = [_pair().to_document(), {**_pair(prefetch_depth=6).to_document(), **damage}]
+        path.write_text(json.dumps({"pairs": rows}), encoding="utf-8")
+        assert load_corpus(path) == [_pair()]
+
 
 class TestRegressors:
     def _matrix(self, pairs):
