@@ -97,9 +97,10 @@ class RunComparison:
 def _operator_totals(records: list[ProfileRecord]) -> dict[tuple[str, DeviceKind], float]:
     totals: dict[tuple[str, DeviceKind], float] = {}
     for step in merge_records(records):
-        for stats in step.operators.values():
-            key = (stats.name, stats.device)
-            totals[key] = totals.get(key, 0.0) + stats.total_duration_us
+        table = step.columns
+        for (name, _), device, duration in zip(table.keys, table.devices, table.durations):
+            key = (name, device)
+            totals[key] = totals.get(key, 0.0) + duration
     return totals
 
 

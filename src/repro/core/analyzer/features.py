@@ -10,10 +10,11 @@ durations (Section IV-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from repro.core.profiler.record import ProfileRecord, StepStats
+from repro.core.profiler.record import ProfileRecord, StepStats, fold_view
 from repro.errors import AnalyzerError
 from repro.runtime.events import StepKind
 
@@ -26,13 +27,7 @@ def merge_records(records: list[ProfileRecord]) -> list[StepStats]:
     merged: dict[int, StepStats] = {}
     for record in records:
         for step_number, stats in record.steps.items():
-            existing = merged.get(step_number)
-            if existing is None:
-                fresh = StepStats(step=step_number)
-                fresh.merge(stats)
-                merged[step_number] = fresh
-            else:
-                existing.merge(stats)
+            merged[step_number] = fold_view(merged.get(step_number), stats)
     return [merged[step] for step in sorted(merged)]
 
 
@@ -103,15 +98,28 @@ def build_features(steps: list[StepStats]) -> FeatureMatrix:
     """Build the frequency-vector representation for a list of steps."""
     if not steps:
         raise AnalyzerError("cannot build features from zero steps")
-    vocabulary = sorted({key for stats in steps for key in stats.operators})
+    columns = [stats.columns for stats in steps]
+    vocabulary = sorted(set().union(*(table.keys for table in columns)))
     index = {key: column for column, key in enumerate(vocabulary)}
+    # Scatter every step's columns into its row with one indexed store
+    # per matrix; keys are unique within a step, so no cell is written
+    # twice.
+    sizes = [len(table.keys) for table in columns]
+    total = sum(sizes)
+    cells = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(table.keys for table in columns)),
+        np.intp,
+        total,
+    )
+    cells += np.repeat(np.arange(len(steps)) * len(vocabulary), sizes)
     durations = np.zeros((len(steps), len(vocabulary)))
     counts = np.zeros((len(steps), len(vocabulary)))
-    for row, stats in enumerate(steps):
-        for key, op_stats in stats.operators.items():
-            column = index[key]
-            durations[row, column] = op_stats.total_duration_us
-            counts[row, column] = op_stats.count
+    durations.put(
+        cells, np.fromiter(chain.from_iterable(t.durations for t in columns), float, total)
+    )
+    counts.put(
+        cells, np.fromiter(chain.from_iterable(t.counts for t in columns), float, total)
+    )
     return FeatureMatrix(
         steps=list(steps), vocabulary=list(vocabulary), durations=durations, counts=counts
     )

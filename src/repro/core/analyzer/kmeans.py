@@ -65,7 +65,10 @@ def restart_key(k: int, restart: int) -> str:
 
 def _checked(matrix: np.ndarray) -> np.ndarray:
     """``matrix`` as floats, or a :class:`ClusteringError` if it cannot be clustered."""
-    matrix = np.asarray(matrix, dtype=float)
+    try:
+        matrix = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError) as error:
+        raise ClusteringError(f"k-means needs a numeric 2-D matrix: {error}") from None
     if matrix.ndim != 2 or matrix.shape[0] == 0:
         raise ClusteringError("k-means needs a non-empty 2-D matrix")
     if not np.isfinite(matrix).all():

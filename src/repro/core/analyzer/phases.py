@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.profiler.record import OperatorStats, StepStats
+from repro.core.profiler.record import OperatorStats, OperatorTable, StepStats
 from repro.errors import AnalyzerError
 from repro.runtime.events import DeviceKind
 
@@ -64,22 +64,10 @@ class Phase:
 
     def operator_totals(self, device: DeviceKind | None = None) -> list[OperatorStats]:
         """Aggregate operator statistics across the phase's steps."""
-        totals: dict[tuple[str, str], OperatorStats] = {}
+        table = OperatorTable()
         for step in self.steps:
-            for key, stats in step.operators.items():
-                if device is not None and stats.device is not device:
-                    continue
-                existing = totals.get(key)
-                if existing is None:
-                    totals[key] = OperatorStats(
-                        name=stats.name,
-                        device=stats.device,
-                        count=stats.count,
-                        total_duration_us=stats.total_duration_us,
-                    )
-                else:
-                    existing.merge(stats)
-        return sorted(totals.values(), key=lambda s: -s.total_duration_us)
+            table.add(step.columns)
+        return [table.stats(*entry) for entry in table.ranked(len(table), device)]
 
     def top_operators(self, k: int = 5, device: DeviceKind | None = None) -> list[OperatorStats]:
         """The k most time-consuming operators in this phase."""
@@ -92,12 +80,13 @@ class Phase:
         idea applies here for fast-forward targets: the step whose
         per-operator duration vector is nearest (L2) to the phase mean.
         """
-        keys = sorted({key for step in self.steps for key in step.operators})
+        columns = [step.columns for step in self.steps]
+        keys = sorted(set().union(*(table.keys for table in columns)))
         index = {key: i for i, key in enumerate(keys)}
         vectors = np.zeros((len(self.steps), len(keys)))
-        for row, step in enumerate(self.steps):
-            for key, stats in step.operators.items():
-                vectors[row, index[key]] = stats.total_duration_us
+        for row, table in enumerate(columns):
+            for key, duration in zip(table.keys, table.durations):
+                vectors[row, index[key]] = duration
         mean = vectors.mean(axis=0)
         distances = ((vectors - mean) ** 2).sum(axis=1)
         return self.steps[int(distances.argmin())]

@@ -47,11 +47,8 @@ class StreamingAnalyzer:
         """Distinct step signatures (per-operator count and duration), counted now."""
         return len(
             {
-                frozenset(
-                    (key, stats.count, stats.total_duration_us)
-                    for key, stats in step.operators.items()
-                )
-                for step in self.steps
+                frozenset(zip(columns.keys, columns.counts, columns.durations))
+                for columns in (step.columns for step in self.steps)
             }
         )
 

@@ -121,10 +121,7 @@ class CriticalPhaseDetector:
             phase = self._scanner.labels[-1]
         else:
             phase = max(self._phase_durations, key=self._phase_durations.get)
-        totals: dict[str, float] = {}
-        for step in self._phase_steps[phase]:
-            for stats in step.operators.values():
-                totals[stats.name] = totals.get(stats.name, 0.0) + stats.total_duration_us
+        totals = _name_totals(self._phase_steps[phase])
         ranked = sorted(totals, key=lambda name: (-totals[name], name))
         return frozenset(ranked[:top_k])
 
@@ -132,11 +129,7 @@ class CriticalPhaseDetector:
 
     def _matches_pattern(self, phase: int) -> bool:
         """Condition 1: common bottleneck operators among the phase's top."""
-        steps = self._phase_steps[phase]
-        totals: dict[str, float] = {}
-        for step in steps:
-            for stats in step.operators.values():
-                totals[stats.name] = totals.get(stats.name, 0.0) + stats.total_duration_us
+        totals = _name_totals(self._phase_steps[phase])
         top = sorted(totals, key=lambda name: -totals[name])[: self.pattern_top_k]
         hits = sum(1 for name in top if name in CRITICAL_PATTERN)
         return hits >= self.pattern_hits_required
@@ -147,6 +140,16 @@ class CriticalPhaseDetector:
         if total <= 0:
             return False
         return self._phase_durations[phase] / total > self.time_fraction
+
+
+def _name_totals(steps: list[StepStats]) -> dict[str, float]:
+    """Accumulated duration per operator name over ``steps``, in step order."""
+    totals: dict[str, float] = {}
+    for step in steps:
+        table = step.columns
+        for (name, _), duration in zip(table.keys, table.durations):
+            totals[name] = totals.get(name, 0.0) + duration
+    return totals
 
 
 def run_detection(

@@ -70,8 +70,11 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
 
-from repro.core.profiler.record import OperatorStats, ProfileRecord, StepStats
+from repro.core.profiler.record import OperatorColumns, ProfileRecord, StepStats
 from repro.errors import CodecError
 from repro.runtime.events import DeviceKind, StepKind
 
@@ -100,16 +103,44 @@ _FLAG_FINAL = 2
 
 # Code tables are version-gated: the tuple order of the enums at codec
 # version 1 is frozen here. Extending either enum must bump CODEC_VERSION.
+# A code is a position in its tuple; ``tuple.index`` finds it by identity,
+# without hashing an enum member in Python.
 _DEVICES = tuple(DeviceKind)
-_DEVICE_CODE = {device: code for code, device in enumerate(_DEVICES)}
-_DEVICE_PAIRS = tuple((device, device.value) for device in _DEVICES)
 _KINDS = tuple(StepKind)
-_KIND_CODE = {kind: code + 1 for code, kind in enumerate(_KINDS)}
 _KIND_BY_CODE = (None,) + _KINDS
 
 #: Upper bound on one block's payload; a larger length field means the
 #: framing itself is broken (torn or overwritten), not a huge record.
 MAX_PAYLOAD_BYTES = 1 << 30
+
+_STEP_FIELDS = attrgetter("step", "kind", "start_us", "end_us", "tpu_idle_us", "mxu_flops")
+
+
+@lru_cache(maxsize=64)
+def _step_columns(n: int) -> struct.Struct:
+    """The per-step columns of an ``n``-step payload as one struct."""
+    return struct.Struct(f"<{n}q{n}B{4 * n}d{n}I")
+
+
+@lru_cache(maxsize=64)
+def _operator_columns(m: int) -> struct.Struct:
+    """The operator columns of an ``m``-operator payload as one struct."""
+    return struct.Struct(f"<{m}I{m}B{m}q{m}d")
+
+
+@lru_cache(maxsize=256)
+def _string_table(names: tuple[str, ...]) -> bytes:
+    """The encoded string table of ``names``: count, then length-prefixed UTF-8."""
+    parts = [_U32.pack(len(names))]
+    for name in names:
+        raw = name.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise CodecError(
+                f"operator name of {len(raw)} bytes overflows the string table"
+            )
+        parts.append(_U16.pack(len(raw)))
+        parts.append(raw)
+    return b"".join(parts)
 
 
 def encode_payload(record: ProfileRecord) -> bytes:
@@ -118,75 +149,123 @@ def encode_payload(record: ProfileRecord) -> bytes:
         _FLAG_FINAL if record.final else 0
     )
     steps = list(record.steps.values())
+    n = len(steps)
     try:
-        parts = [
-            _PAYLOAD_HEADER.pack(
-                record.index, record.window_start_us, record.window_end_us, flags
-            )
-        ]
+        header = _PAYLOAD_HEADER.pack(
+            record.index, record.window_start_us, record.window_end_us, flags
+        )
+        if not n:
+            return header + _U32.pack(0) + _U32.pack(0)
+        # Per-step key, device, count and duration tuples, each column
+        # flattened across steps by ``chain`` as it is packed.
+        keys, devices, counts, durations = zip(*[step.columns for step in steps])
+        op_names = [name for name, _ in chain.from_iterable(keys)]
         # String table in first-appearance order (dedups operator names
         # across steps; a name repeated every step is stored once).
-        names: dict[str, int] = {}
-        for step in steps:
-            for stats in step.operators.values():
-                if stats.name not in names:
-                    names[stats.name] = len(names)
-        parts.append(_U32.pack(len(names)))
-        for name in names:
-            raw = name.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise CodecError(
-                    f"operator name of {len(raw)} bytes overflows the string table"
-                )
-            parts.append(_U16.pack(len(raw)))
-            parts.append(raw)
-        n = len(steps)
-        parts.append(_U32.pack(n))
-        if n:
-            parts.append(struct.pack(f"<{n}q", *(step.step for step in steps)))
-            parts.append(
-                struct.pack(
-                    f"<{n}B",
-                    *(0 if s.kind is None else _KIND_CODE[s.kind] for s in steps),
-                )
+        names = {name: code for code, name in enumerate(dict.fromkeys(op_names))}
+        numbers, kinds, starts, ends, idles, flops = zip(*map(_STEP_FIELDS, steps))
+        return b"".join(
+            (
+                header,
+                _string_table(tuple(names)),
+                _U32.pack(n),
+                _step_columns(n).pack(
+                    *numbers,
+                    *map(_KIND_BY_CODE.index, kinds),
+                    *starts,
+                    *ends,
+                    *idles,
+                    *flops,
+                    *map(len, keys),
+                ),
+                _U32.pack(len(op_names)),
+                _operator_columns(len(op_names)).pack(
+                    *map(names.__getitem__, op_names),
+                    *map(_DEVICES.index, chain.from_iterable(devices)),
+                    *chain.from_iterable(counts),
+                    *chain.from_iterable(durations),
+                ),
             )
-            for column in ("start_us", "end_us", "tpu_idle_us", "mxu_flops"):
-                parts.append(
-                    struct.pack(f"<{n}d", *(getattr(s, column) for s in steps))
-                )
-            parts.append(struct.pack(f"<{n}I", *(len(s.operators) for s in steps)))
-            ops = [stats for step in steps for stats in step.operators.values()]
-            m = len(ops)
-            parts.append(_U32.pack(m))
-            if m:
-                parts.append(struct.pack(f"<{m}I", *(names[s.name] for s in ops)))
-                parts.append(struct.pack(f"<{m}B", *(_DEVICE_CODE[s.device] for s in ops)))
-                parts.append(struct.pack(f"<{m}q", *(s.count for s in ops)))
-                parts.append(
-                    struct.pack(f"<{m}d", *(s.total_duration_us for s in ops))
-                )
+        )
     except struct.error as error:
         raise CodecError(f"record {record.index} does not fit the codec: {error}")
-    return b"".join(parts)
+
+
+@lru_cache(maxsize=256)
+def _string_names(table: bytes) -> tuple[str, ...]:
+    """The names of an encoded string table whose bounds were checked."""
+    (n_names,) = _U32.unpack_from(table, 0)
+    names = []
+    offset = 4
+    for _ in range(n_names):
+        (length,) = _U16.unpack_from(table, offset)
+        offset += 2
+        names.append(table[offset : offset + length].decode("utf-8"))
+        offset += length
+    return tuple(names)
+
+
+@lru_cache(maxsize=256)
+def _operator_layout(names: tuple[str, ...], per_step: bytes, codes: bytes) -> tuple:
+    """Where each step's operators sit in a payload's operator columns.
+
+    ``per_step`` is the payload's per-step operator counts and ``codes``
+    its name index and device columns, as raw bytes. Returns, per step,
+    its slice bounds in the operator columns, its keys and devices, and
+    the positions to read when a key repeats: its first position with
+    its last entry's values, as filling a dict entry by entry would
+    (None when no key repeats).
+
+    Payloads that name the same operators in the same places share one
+    layout, and with it their key and device tuples.
+    """
+    m = len(codes) // 5
+    name_indices = struct.unpack(f"<{m}I", codes[: 4 * m])
+    device_codes = codes[4 * m :]
+    if m:
+        if max(name_indices) >= len(names):
+            raise CodecError("operator name index out of range")
+        if max(device_codes) >= len(_DEVICES):
+            raise CodecError(f"unknown device code {max(device_codes)}")
+    keys = tuple(
+        (names[name], _DEVICES[device].value)
+        for name, device in zip(name_indices, device_codes)
+    )
+    devices = tuple(_DEVICES[device] for device in device_codes)
+    layout = []
+    low = 0
+    for count in struct.unpack(f"<{len(per_step) // 4}I", per_step):
+        high = low + count
+        step_keys, step_devices, picks = keys[low:high], devices[low:high], None
+        last = {key: low + position for position, key in enumerate(step_keys)}
+        if len(last) < count:
+            picks = tuple(last.values())
+            step_keys = tuple(last)
+            step_devices = tuple(devices[at] for at in picks)
+        layout.append((low, high, step_keys, step_devices, picks))
+        low = high
+    return tuple(layout)
 
 
 def decode_payload(buffer) -> ProfileRecord:
-    """Rebuild a record from its payload bytes; raises :class:`CodecError`."""
+    """Rebuild a record from its payload bytes; raises :class:`CodecError`.
+
+    Each step's operators come back as :class:`OperatorColumns` of plain
+    Python values: nothing in the record refers to ``buffer``.
+    """
     view = memoryview(buffer)
     size = len(view)
     try:
         index, window_start, window_end, flags = _PAYLOAD_HEADER.unpack_from(view, 0)
-        offset = _PAYLOAD_HEADER.size
-        (n_names,) = _U32.unpack_from(view, offset)
-        offset += 4
-        names: list[str] = []
+        table_start = _PAYLOAD_HEADER.size
+        (n_names,) = _U32.unpack_from(view, table_start)
+        offset = table_start + 4
         for _ in range(n_names):
             (length,) = _U16.unpack_from(view, offset)
-            offset += 2
-            if offset + length > size:
+            offset += 2 + length
+            if offset > size:
                 raise CodecError("string table overruns the payload")
-            names.append(bytes(view[offset : offset + length]).decode("utf-8"))
-            offset += length
+        names = _string_names(bytes(view[table_start:offset]))
         (n,) = _U32.unpack_from(view, offset)
         offset += 4
         record = ProfileRecord(
@@ -199,67 +278,55 @@ def decode_payload(buffer) -> ProfileRecord:
         if n:
             if n * 8 > size:
                 raise CodecError("step columns overrun the payload")
-            numbers = struct.unpack_from(f"<{n}q", view, offset)
-            offset += 8 * n
-            kind_codes = struct.unpack_from(f"<{n}B", view, offset)
-            offset += n
-            columns = []
-            for _ in range(4):
-                columns.append(struct.unpack_from(f"<{n}d", view, offset))
-                offset += 8 * n
-            starts, ends, idles, flops = columns
-            per_step = struct.unpack_from(f"<{n}I", view, offset)
-            offset += 4 * n
+            step_columns = _step_columns(n)
+            steps = step_columns.unpack_from(view, offset)
+            per_step_at = offset + step_columns.size - 4 * n
+            offset += step_columns.size
             (m,) = _U32.unpack_from(view, offset)
             offset += 4
-            if m != sum(per_step):
+            if m != sum(steps[6 * n :]):
                 raise CodecError(
                     "operator columns disagree with the per-step counts"
                 )
             if m * 8 > size:
                 raise CodecError("operator columns overrun the payload")
-            name_indices = struct.unpack_from(f"<{m}I", view, offset)
-            offset += 4 * m
-            device_codes = struct.unpack_from(f"<{m}B", view, offset)
-            offset += m
-            counts = struct.unpack_from(f"<{m}q", view, offset)
-            offset += 8 * m
-            durations = struct.unpack_from(f"<{m}d", view, offset)
-            offset += 8 * m
-            # Validity checks are hoisted out of the per-operator loop:
-            # one max() over each code column replaces m branch pairs.
+            operator_columns = _operator_columns(m)
+            operators = operator_columns.unpack_from(view, offset)
+            layout = _operator_layout(
+                names,
+                bytes(view[per_step_at : per_step_at + 4 * n]),
+                bytes(view[offset : offset + 5 * m]),
+            )
+            offset += operator_columns.size
+            kind_codes = steps[n : 2 * n]
             if max(kind_codes) > len(_KINDS):
                 raise CodecError(f"unknown step-kind code {max(kind_codes)}")
-            if m:
-                if max(name_indices) >= len(names):
-                    raise CodecError("operator name index out of range")
-                if max(device_codes) >= len(_DEVICES):
-                    raise CodecError(f"unknown device code {max(device_codes)}")
-            operator_columns = zip(name_indices, device_codes, counts, durations)
+            counts, durations = operators[2 * m : 3 * m], operators[3 * m :]
             record_steps = record.steps
-            for number, code, start, end, idle, mxu, op_count in zip(
-                numbers, kind_codes, starts, ends, idles, flops, per_step
+            for number, code, start, end, idle, mxu, placed in zip(
+                steps[:n],
+                kind_codes,
+                steps[2 * n : 3 * n],
+                steps[3 * n : 4 * n],
+                steps[4 * n : 5 * n],
+                steps[5 * n : 6 * n],
+                layout,
             ):
-                step = StepStats(
-                    step=number,
-                    kind=_KIND_BY_CODE[code],
-                    start_us=start,
-                    end_us=end,
-                    tpu_idle_us=idle,
-                    mxu_flops=mxu,
-                )
-                operators = step.operators
-                for _ in range(op_count):
-                    name_index, device_code, count, duration = next(operator_columns)
-                    name = names[name_index]
-                    device, device_value = _DEVICE_PAIRS[device_code]
-                    operators[(name, device_value)] = OperatorStats(
-                        name=name,
-                        device=device,
-                        count=count,
-                        total_duration_us=duration,
+                low, high, keys, devices, picks = placed
+                if picks is None:
+                    columns = OperatorColumns(
+                        keys, devices, counts[low:high], durations[low:high]
                     )
-                record_steps[number] = step
+                else:
+                    columns = OperatorColumns(
+                        keys,
+                        devices,
+                        tuple(counts[at] for at in picks),
+                        tuple(durations[at] for at in picks),
+                    )
+                record_steps[number] = StepStats(
+                    number, None, _KIND_BY_CODE[code], start, end, idle, mxu, columns
+                )
         if offset != size:
             raise CodecError("trailing bytes after the record payload")
     except (struct.error, UnicodeDecodeError) as error:

@@ -27,6 +27,7 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro import obs
 from repro.core.profiler import codec
 from repro.core.profiler.record import ProfileRecord
 from repro.core.profiler.serialize import (
@@ -184,10 +185,20 @@ def recover_journal(path: str | Path, strict: bool = False) -> JournalRecovery:
     sequence numbers are treated as corrupt entries.
     """
     path = Path(path)
-    journal_format = detect_journal_format(path)
-    if journal_format == "binary":
-        return _recover_binary(path, strict)
-    return _recover_json(path, strict)
+    with obs.trace("journal.recover", strict=strict) as span:
+        journal_format = detect_journal_format(path)
+        if journal_format == "binary":
+            recovery = _recover_binary(path, strict)
+        else:
+            recovery = _recover_json(path, strict)
+        span.set(
+            format=journal_format,
+            blocks=recovery.entries_total,
+            bytes=recovery.bytes_total,
+            corrupt=recovery.corrupt_entries,
+            torn=int(recovery.torn_tail),
+        )
+    return recovery
 
 
 def _recover_binary(path: Path, strict: bool) -> JournalRecovery:

@@ -329,8 +329,8 @@ class TPUPointProfiler:
         entries = 0
         for record in self._records:
             for step in record.steps.values():
-                entries += len(step.operators)
-                events += sum(s.count for s in step.operators.values())
+                entries += len(step.columns.keys)
+                events += sum(step.columns.counts)
         return ProfilerStats(
             requests_served=self._record_index,
             records_kept=len(self._records),

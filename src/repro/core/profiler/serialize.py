@@ -21,6 +21,7 @@ import json
 import zlib
 from pathlib import Path
 
+from repro import obs
 from repro.core.profiler.record import OperatorStats, ProfileRecord, StepStats
 from repro.errors import JournalError, ProfilerError
 from repro.runtime.events import DeviceKind, StepKind
@@ -47,12 +48,12 @@ def record_to_dict(record: ProfileRecord) -> dict:
                 "mxu_flops": step.mxu_flops,
                 "operators": [
                     {
-                        "name": stats.name,
-                        "device": stats.device.value,
-                        "count": stats.count,
-                        "total_duration_us": stats.total_duration_us,
+                        "name": name,
+                        "device": device.value,
+                        "count": count,
+                        "total_duration_us": duration,
                     }
-                    for stats in step.operators.values()
+                    for (name, _), device, count, duration in zip(*step.columns)
                 ],
             }
             for step in record.steps.values()
@@ -133,21 +134,23 @@ def save_records(records: list[ProfileRecord], directory: str | Path) -> Path:
     from repro.core.profiler.journal import RecordJournal
 
     directory = Path(directory)
-    journal = RecordJournal(directory / BINARY_RECORDS_FILE)
-    try:
-        for record in records:
-            journal.append(record)
-    finally:
-        journal.close()
-    manifest = {
-        "schema": SCHEMA_VERSION,
-        "format": "binary",
-        "codec": codec.CODEC_VERSION,
-        "num_records": len(records),
-        "records": [BINARY_RECORDS_FILE],
-    }
-    with open(directory / "manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
+    with obs.trace("records.save", records=len(records)) as span:
+        journal = RecordJournal(directory / BINARY_RECORDS_FILE)
+        try:
+            for record in records:
+                journal.append(record)
+        finally:
+            journal.close()
+        manifest = {
+            "schema": SCHEMA_VERSION,
+            "format": "binary",
+            "codec": codec.CODEC_VERSION,
+            "num_records": len(records),
+            "records": [BINARY_RECORDS_FILE],
+        }
+        with open(directory / "manifest.json", "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2)
+        span.set(bytes=journal.bytes_written)
     return directory
 
 
@@ -188,7 +191,14 @@ def load_records(directory: str | Path) -> list[ProfileRecord]:
     stores written before the binary codec (one JSON file per record;
     a manifest without a ``format`` field is one of those).
     """
-    directory = Path(directory)
+    with obs.trace("records.load") as span:
+        records = _load_store(Path(directory))
+        span.set(records=len(records))
+    return records
+
+
+def _load_store(directory: Path) -> list[ProfileRecord]:
+    """The records of the store under ``directory``, by record index."""
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ProfilerError(f"no manifest.json under {directory}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.core.profiler.record import ProfileRecord, StepStats
+from repro.core.profiler.record import ProfileRecord, StepStats, fold_view
 from repro.errors import ProfilerError
 
 
@@ -37,11 +37,7 @@ class StepStream:
                 raise ProfilerError(
                     f"record {record.index} revisits already-released step {number}"
                 )
-            pending = self._pending.get(number)
-            if pending is None:
-                pending = StepStats(step=number)
-                self._pending[number] = pending
-            pending.merge(stats)
+            self._pending[number] = fold_view(self._pending.get(number), stats)
         if not self._pending:
             return
         newest = max(self._pending)

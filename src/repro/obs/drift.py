@@ -85,8 +85,9 @@ def operator_totals(analysis) -> dict[str, float]:
     """Accumulated duration per operator name across all of a job's phases."""
     totals: dict[str, float] = {}
     for phase in analysis.phases.values():
-        for stats in phase.operators.values():
-            totals[stats.name] = totals.get(stats.name, 0.0) + stats.total_duration_us
+        table = phase.table
+        for (name, _), duration in zip(table.index, table.durations):
+            totals[name] = totals.get(name, 0.0) + duration
     return totals
 
 
@@ -138,7 +139,7 @@ def phase_fingerprint(analysis, top_k: int = DEFAULT_FINGERPRINT_K) -> frozenset
     phase = analysis.phases.get(labels[-1])
     if phase is None:
         return frozenset()
-    return frozenset(stats.name for stats in phase.top_operators(top_k))
+    return frozenset(phase.top_operator_names(top_k))
 
 
 def dominant_fingerprint(analysis, top_k: int = DEFAULT_FINGERPRINT_K) -> frozenset[str]:
@@ -152,7 +153,7 @@ def dominant_fingerprint(analysis, top_k: int = DEFAULT_FINGERPRINT_K) -> frozen
     phases = analysis.phases_by_duration()
     if not phases:
         return frozenset()
-    return frozenset(stats.name for stats in phases[0].top_operators(top_k))
+    return frozenset(phases[0].top_operator_names(top_k))
 
 
 class PhaseDriftDetector:

@@ -60,8 +60,16 @@ def load_trace(path: str | Path) -> list[dict]:
     for event in events:
         if not isinstance(event, dict) or "ph" not in event:
             raise ObsError(f"{path} holds a malformed trace event: {event!r}")
-        if event["ph"] == "X" and ("ts" not in event or "dur" not in event):
-            raise ObsError(f"{path}: complete event without ts/dur: {event!r}")
+        if event["ph"] == "X" and (
+            not isinstance(event.get("name"), str)
+            or _as_float(event.get("ts")) is None
+            or _as_float(event.get("dur")) is None
+            or not isinstance(event.get("args", {}), dict)
+        ):
+            raise ObsError(
+                f"{path}: complete event needs a name, numeric ts/dur and "
+                f"an args object: {event!r}"
+            )
     return events
 
 
@@ -104,11 +112,21 @@ def load_metrics(path: str | Path) -> dict[str, list[tuple[dict, float]]]:
             raise ObsError(f"{path} is not a metrics snapshot object")
         samples: dict[str, list[tuple[dict, float]]] = {}
         for name, family in payload.items():
-            for sample in family.get("samples", []):
-                value = sample.get("value", sample.get("count", 0))
-                samples.setdefault(name, []).append(
-                    (dict(sample.get("labels", {})), float(value))
-                )
+            entries = family.get("samples", []) if isinstance(family, dict) else None
+            if not isinstance(entries, list):
+                raise ObsError(f"{path} holds a malformed metric family {name!r}")
+            for sample in entries:
+                labels = sample.get("labels", {}) if isinstance(sample, dict) else None
+                if not isinstance(labels, dict):
+                    raise ObsError(
+                        f"{path} holds a malformed sample of {name!r}: {sample!r}"
+                    )
+                value = _as_float(sample.get("value", sample.get("count", 0)))
+                if value is None:
+                    raise ObsError(
+                        f"{path} holds a non-numeric sample of {name!r}: {sample!r}"
+                    )
+                samples.setdefault(name, []).append((dict(labels), value))
         return samples
     return parse_prometheus(text)
 
@@ -164,6 +182,16 @@ _EVENT_KEYS = ("tick", "rule", "scope", "transition")
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_float(value) -> float | None:
+    """``value`` as a float when it is a JSON number a float can hold, else None."""
+    if not _is_number(value):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
 
 
 def _is_slo_row(status) -> bool:

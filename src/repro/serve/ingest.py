@@ -16,6 +16,14 @@ Backpressure is explicit: :meth:`IngestQueue.offer` reports whether the
 queue had to shed load, and producers can consult
 :attr:`IngestQueue.remaining_capacity` to throttle before that happens.
 
+Records reach the queue decoded from their wire frames, each step's
+operator statistics as immutable columns
+(:class:`~repro.core.profiler.record.OperatorColumns`).
+:func:`validate_record` clears a sound step with one ``min()`` per
+column, and the step stream later adopts those steps without copying
+them: nothing between the frame and the live fold builds an object per
+operator.
+
 Producers may live on real threads, so each queue serializes its own
 mutations with a lock: the depth check, the shed, the append, and the
 counters in :meth:`IngestQueue.offer` are one atomic step, never
@@ -54,11 +62,15 @@ def validate_record(record: ProfileRecord, checksum: int | None = None) -> str |
     for key, step in record.steps.items():
         if key != step.step:
             return f"step {step.step} filed under key {key}"
-        for stats in step.operators.values():
-            if stats.count < 0:
-                return f"negative count for operator {stats.name!r}"
-            if stats.total_duration_us < 0:
-                return f"negative duration for operator {stats.name!r}"
+        keys, _, counts, durations = step.columns
+        # One C-level min() per column clears a sound step; NaN can hide
+        # a negative from min(), so anything short of ">= 0" is walked.
+        if keys and not (min(counts) >= 0 and min(durations) >= 0):
+            for (name, _), count, duration in zip(keys, counts, durations):
+                if count < 0:
+                    return f"negative count for operator {name!r}"
+                if duration < 0:
+                    return f"negative duration for operator {name!r}"
     if checksum is not None and record_checksum(record) != checksum:
         return "checksum mismatch (record corrupted in transit)"
     return None

@@ -20,7 +20,12 @@ from repro.core.analyzer.analyzer import AnalysisResult
 from repro.core.analyzer.distance import pairwise_distances
 from repro.core.analyzer.ols import DEFAULT_SIMILARITY_THRESHOLD, OnlineLinearScan
 from repro.core.analyzer.streaming import StreamingAnalyzer
-from repro.core.profiler.record import OperatorStats, ProfileRecord, StepStats
+from repro.core.profiler.record import (
+    OperatorStats,
+    OperatorTable,
+    ProfileRecord,
+    StepStats,
+)
 from repro.core.profiler.streaming import StepStream
 from repro.errors import ServeError
 from repro.runtime.events import DeviceKind
@@ -35,7 +40,11 @@ DEFAULT_PHASE_MERGE_DISTANCE = 0.25
 
 @dataclass
 class LivePhase:
-    """Running accumulator for one detected phase."""
+    """Running accumulator for one detected phase.
+
+    Operator totals accumulate in :attr:`table`, one column add per
+    folded step; :attr:`operators` builds the stats objects on demand.
+    """
 
     phase_id: int
     num_steps: int = 0
@@ -44,7 +53,7 @@ class LivePhase:
     duration_us: float = 0.0
     tpu_idle_us: float = 0.0
     mxu_flops: float = 0.0
-    operators: dict[tuple[str, str], OperatorStats] = field(default_factory=dict)
+    table: OperatorTable = field(default_factory=OperatorTable)
 
     def fold(self, step: StepStats) -> None:
         """Accumulate one completed step; the step is not retained."""
@@ -55,17 +64,12 @@ class LivePhase:
         self.duration_us += step.elapsed_us
         self.tpu_idle_us += step.tpu_idle_us
         self.mxu_flops += step.mxu_flops
-        for key, stats in step.operators.items():
-            existing = self.operators.get(key)
-            if existing is None:
-                self.operators[key] = OperatorStats(
-                    name=stats.name,
-                    device=stats.device,
-                    count=stats.count,
-                    total_duration_us=stats.total_duration_us,
-                )
-            else:
-                existing.merge(stats)
+        self.table.add(step.columns)
+
+    @property
+    def operators(self) -> dict[tuple[str, str], OperatorStats]:
+        """The phase's operator totals as fresh stats, in first-fold order."""
+        return self.table.freeze().to_operators()
 
     @property
     def idle_fraction(self) -> float:
@@ -77,13 +81,13 @@ class LivePhase:
         self, k: int = 5, device: DeviceKind | None = None
     ) -> list[OperatorStats]:
         """The k most time-consuming operators folded into this phase."""
-        totals = [
-            stats
-            for stats in self.operators.values()
-            if device is None or stats.device is device
-        ]
-        totals.sort(key=lambda stats: -stats.total_duration_us)
-        return totals[:k]
+        return [self.table.stats(*entry) for entry in self.table.ranked(k, device)]
+
+    def top_operator_names(
+        self, k: int = 5, device: DeviceKind | None = None
+    ) -> list[str]:
+        """Names of :meth:`top_operators`, without building stats objects."""
+        return [key[0] for key, _ in self.table.ranked(k, device)]
 
 
 @dataclass
@@ -222,16 +226,16 @@ class LiveJobAnalysis:
         offline analyzer's duration-frequency feature rows.
         """
         ids = sorted(self.phases)
-        vocabulary = sorted({key for pid in ids for key in self.phases[pid].operators})
+        tables = [self.phases[pid].table for pid in ids]
+        vocabulary = sorted(set().union(*(table.index for table in tables)))
         column = {key: i for i, key in enumerate(vocabulary)}
         vectors = np.zeros((len(ids), max(len(vocabulary), 1)))
-        for row, pid in enumerate(ids):
-            operators = self.phases[pid].operators
-            total = sum(stats.total_duration_us for stats in operators.values())
+        for row, table in enumerate(tables):
+            total = sum(table.durations)
             if total <= 0:
                 continue
-            for key, stats in operators.items():
-                vectors[row, column[key]] = stats.total_duration_us / total
+            for key, duration in zip(table.index, table.durations):
+                vectors[row, column[key]] = duration / total
         return ids, vectors
 
     def phase_distance_matrix(self) -> tuple[list[int], np.ndarray]:

@@ -143,10 +143,10 @@ def job_snapshot(
             duration_us=phase.duration_us,
             idle_fraction=phase.idle_fraction,
             top_tpu_operators=tuple(
-                stats.name for stats in phase.top_operators(top_operators, DeviceKind.TPU)
+                phase.top_operator_names(top_operators, DeviceKind.TPU)
             ),
             top_host_operators=tuple(
-                stats.name for stats in phase.top_operators(top_operators, DeviceKind.HOST)
+                phase.top_operator_names(top_operators, DeviceKind.HOST)
             ),
         )
         for phase in analysis.phases_by_duration()[:max_phases]

@@ -563,9 +563,7 @@ class FleetService:
                 analysis.phases.values(), key=lambda phase: -phase.duration_us
             )
             for phase in ranked_phases:
-                names = frozenset(
-                    stats.name for stats in phase.top_operators(top_k)
-                )
+                names = frozenset(phase.top_operator_names(top_k))
                 if not names:
                     continue
                 match = self._knowledge.lookup(names, cutoff)
@@ -614,9 +612,7 @@ class FleetService:
                 analysis.phases.values(), key=lambda phase: -phase.duration_us
             )
             for phase in ranked_phases:
-                names = frozenset(
-                    stats.name for stats in phase.top_operators(top_k)
-                )
+                names = frozenset(phase.top_operator_names(top_k))
                 if not names:
                     continue
                 match = self._knowledge.lookup(names, cutoff)

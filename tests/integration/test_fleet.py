@@ -1,5 +1,7 @@
 """Fleet service end-to-end: live OLS parity, concurrent jobs, CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main as cli_main
@@ -8,6 +10,8 @@ from repro.core.analyzer.ols import ols_labels
 from repro.serve import FleetService, FleetServiceOptions, run_fleet
 from repro.workloads.runner import run_workload
 from repro.workloads.spec import WorkloadSpec
+
+GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden"
 
 
 def _stream_through_service(records, workload, threshold=0.70):
@@ -111,6 +115,36 @@ class TestFleetCli:
         assert "fleet rollup" in out
         assert "service metrics" in out
         assert out.count("[completed]") == 4
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_fleet_output_matches_golden(self, capsys, shards):
+        """Per-phase top operators, k-means runs and the rollup, pinned.
+
+        Everything before ``-- service metrics --`` is deterministic;
+        the metrics block reports wall-clock query latency.
+        """
+        argv = ["fleet", "--jobs", "4", "--chunk", "24", "--shards", shards]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        head = out[: out.index("-- service metrics --\n")]
+        assert head == (GOLDEN / "fleet_jobs4_chunk24.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_goodput_output_matches_golden(self, capsys, shards):
+        argv = ["goodput", "--jobs", "4", "--chunk", "24", "--shards", shards]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "goodput_jobs4_chunk24.txt").read_text(encoding="utf-8")
+
+    def test_goodput_counters_export_through_the_metrics_dump(self, capsys, tmp_path):
+        dump = tmp_path / "goodput-metrics.prom"
+        argv = ["goodput", "--jobs", "2", "--chunk", "24", "--shards", "2",
+                "--metrics-out", str(dump)]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        text = dump.read_text(encoding="utf-8")
+        assert 'repro_serve_goodput_us_total{bucket="goodput"}' in text
+        assert "repro_serve_shards" in text
 
     def test_fleet_rejects_bad_jobs(self, capsys):
         assert cli_main(["fleet", "--jobs", "0"]) == 1

@@ -20,7 +20,7 @@ from repro.core.optimizer.knowledge import TuningKnowledgeBase
 from repro.core.optimizer.surrogate import load_corpus
 from repro.errors import ReproError
 from repro.faults import load_plan
-from repro.obs.inspect import load_alerts, load_health, summarize
+from repro.obs.inspect import load_alerts, load_health, load_metrics, load_trace, summarize
 from repro.runtime.resilience import client_from_config
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -139,3 +139,15 @@ def test_mutated_health_dumps_load_or_raise_typed(document):
 @given(mutated(_read(DATA / "alerts.json")))
 def test_mutated_alert_dumps_load_or_raise_typed(document):
     _loads_or_raises_typed(lambda path: (load_alerts(path), summarize(path)), document, "alerts.json")
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(_read(DATA / "metrics.json")))
+def test_mutated_metrics_dumps_load_or_raise_typed(document):
+    _loads_or_raises_typed(lambda path: (load_metrics(path), summarize(path)), document, "metrics.json")
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(_read(DATA / "trace.json")))
+def test_mutated_trace_dumps_load_or_raise_typed(document):
+    _loads_or_raises_typed(lambda path: (load_trace(path), summarize(path)), document, "trace.json")

@@ -13,6 +13,7 @@ from repro.core.profiler.serialize import save_records
 from repro.errors import ProfilerError
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "loaders"
+GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden"
 
 
 class TestTPUPointApi:
@@ -263,6 +264,33 @@ class TestCliErrorHygiene:
             assert code == 1, damage
             assert captured.err.startswith("error:")
             assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "name, document",
+        [
+            ("metrics.json", {"repro_x": 5}),
+            ("metrics.json", {"repro_x": {"samples": [5]}}),
+            ("metrics.json", {"samples": [{"value": "abc"}]}),
+            ("metrics.json", {"repro_x": {"samples": [{"value": "abc"}]}}),
+            ("trace.json", {"traceEvents": [{"ph": "X", "ts": 0, "dur": 1}]}),
+            ("trace.json", {"traceEvents": [{"ph": "X", "name": "a", "ts": 0, "dur": "x"}]}),
+        ],
+        ids=[
+            "family-int", "sample-int", "family-list", "value-string",
+            "span-without-name", "dur-string",
+        ],
+    )
+    def test_malformed_metrics_or_trace_dump_is_one_error_line(
+        self, capsys, tmp_path, name, document
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = cli_main(["obs", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert str(path) in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_recover_missing_journal(self, capsys, tmp_path):
         code = cli_main(["recover", str(tmp_path / "gone.jsonl")])
@@ -545,6 +573,9 @@ class TestCliHealth:
 
         payload = obs.load_health(out_path)
         assert payload["alerts"]["events"]
+        assert out_path.read_text(encoding="utf-8") == (
+            GOLDEN / "health_burst_health.json"
+        ).read_text(encoding="utf-8")
 
     def test_health_periodic_dashboard(self, capsys):
         assert cli_main(["health", "--jobs", "2", "--shards", "1", "--every", "4"]) == 0
@@ -565,6 +596,7 @@ class TestCliHealth:
             assert "fired" in out and "resolved" in out
             dumps.append(out_path.read_text(encoding="utf-8"))
         assert dumps[0] == dumps[1]
+        assert dumps[0] == (GOLDEN / "health_burst_alerts.json").read_text(encoding="utf-8")
         from repro import obs
 
         payload = obs.load_alerts(tmp_path / "alerts_1.json")

@@ -62,6 +62,15 @@ class TestKMeans:
         with pytest.raises(ClusteringError, match="finite"):
             sweep_k(data, range(1, 5), seed=0)
 
+    @pytest.mark.parametrize(
+        "fit",
+        [lambda matrix: kmeans(matrix, 1, seed=0), lambda matrix: sweep_k(matrix, [1], seed=0)],
+        ids=["kmeans", "sweep_k"],
+    )
+    def test_ragged_list_matrix_rejected(self, fit):
+        with pytest.raises(ClusteringError, match="numeric 2-D matrix"):
+            fit([[1.0, 2.0], [3.0]])
+
     def test_deterministic_under_seed(self):
         data = _blobs(np.random.default_rng(0))
         a = kmeans(data, 3, np.random.default_rng(7))

@@ -116,6 +116,27 @@ class TestPayloadRoundTrip:
         )
         _assert_identical(record, rebuilt)
 
+    def test_repeated_key_keeps_first_position_and_last_values(self):
+        # A CRC-valid payload may name one operator twice in a step; it
+        # decodes as filling a dict entry by entry would.
+        step = _step(
+            0,
+            [("A", DeviceKind.TPU, 1.0), ("B", DeviceKind.TPU, 2.0), ("C", DeviceKind.TPU, 3.0)],
+        )
+        payload = bytearray(codec.encode_payload(_record(0, [step])))
+        names_at = len(payload) - 21 * 3  # the last columns: 3 x (u32, u8, i64, f64)
+        struct.pack_into("<I", payload, names_at + 8, 0)  # the third op is "A" again
+        rebuilt = codec.decode_payload(bytes(payload)).steps[0]
+        assert list(rebuilt.operators) == [("A", "tpu"), ("B", "tpu")]
+        assert rebuilt.operators[("A", "tpu")].total_duration_us == 3.0
+
+    def test_decoded_steps_share_key_tuples(self):
+        first, second = (
+            codec.decode_payload(codec.encode_payload(_typical_record(0)))
+            for _ in range(2)
+        )
+        assert first.steps[0].columns.keys is second.steps[0].columns.keys
+
     def test_trailing_bytes_rejected(self):
         payload = codec.encode_payload(_typical_record())
         with pytest.raises(CodecError):

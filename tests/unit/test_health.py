@@ -44,6 +44,7 @@ from repro.obs.timeseries import (
 )
 from repro.runtime.events import DeviceKind, StepKind
 from repro.serve import FleetService
+from repro.serve.live import LivePhase
 
 BURST_PLAN = "examples/faults/health_burst.json"
 BURST_OVERRIDES = {"checkpoint_every": 48, "checkpoint_bytes": 4e9}
@@ -429,22 +430,16 @@ class TestAlertEngine:
         assert [alert.rule.name for alert in engine.active()] == ["CRIT", "WARN"]
 
 
-class _FakeStats:
-    def __init__(self, name, duration):
-        self.name = name
-        self.total_duration_us = duration
-
-
-class _FakePhase:
-    def __init__(self, durations):
-        self.operators = {
-            name: _FakeStats(name, duration) for name, duration in durations.items()
-        }
-
-
 class _FakeAnalysis:
+    """One live phase whose operator totals are ``durations``."""
+
     def __init__(self, durations, steps_seen=10):
-        self.phases = {"P0": _FakePhase(durations)}
+        step = StepStats(step=0)
+        for name, duration in durations.items():
+            step.observe(name, DeviceKind.TPU, duration)
+        phase = LivePhase(phase_id=0)
+        phase.fold(step)
+        self.phases = {"P0": phase}
         self.steps_seen = steps_seen
 
 

@@ -13,6 +13,7 @@ from repro import obs
 from repro.core.analyzer import TPUPointAnalyzer
 from repro.core.analyzer.kmeans import DEFAULT_N_INIT
 from repro.core.profiler import ProfilerOptions, TPUPointProfiler
+from repro.core.profiler.serialize import load_records, save_records
 from repro.serve import FleetService, FleetServiceOptions
 from repro.serve.metrics import ServiceMetrics
 
@@ -115,6 +116,23 @@ class TestAnalyzerWiring:
         assert ols.attributes["phases"] >= 1
         merge = next(s for s in spans if s.name == "analyzer.merge_records")
         assert merge.parent_id == ols.span_id  # lazy merge nests under the caller
+
+
+class TestRecordStoreWiring:
+    def test_store_round_trip_is_one_span_per_call(self, tiny_run, span_marker, tmp_path):
+        _, _, records = tiny_run
+        save_records(records, tmp_path / "store")
+        loaded = load_records(tmp_path / "store")
+        spans = _spans_after(span_marker)
+        assert [s.name for s in spans] == ["records.save", "journal.recover", "records.load"]
+        save, recover, load = spans
+        assert save.attributes["records"] == len(records)
+        assert save.attributes["bytes"] == (tmp_path / "store" / "records.bin").stat().st_size
+        assert recover.parent_id == load.span_id
+        assert recover.attributes["blocks"] == len(records)
+        assert recover.attributes["bytes"] == save.attributes["bytes"]
+        assert (recover.attributes["corrupt"], recover.attributes["torn"]) == (0, 0)
+        assert load.attributes["records"] == len(loaded)
 
 
 class TestServiceMetricsOnRegistry:
