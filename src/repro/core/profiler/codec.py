@@ -128,8 +128,7 @@ def _operator_columns(m: int) -> struct.Struct:
     return struct.Struct(f"<{m}I{m}B{m}q{m}d")
 
 
-@lru_cache(maxsize=256)
-def _string_table(names: tuple[str, ...]) -> bytes:
+def _string_table(names: dict[str, int]) -> bytes:
     """The encoded string table of ``names``: count, then length-prefixed UTF-8."""
     parts = [_U32.pack(len(names))]
     for name in names:
@@ -167,7 +166,7 @@ def encode_payload(record: ProfileRecord) -> bytes:
         return b"".join(
             (
                 header,
-                _string_table(tuple(names)),
+                _string_table(names),
                 _U32.pack(n),
                 _step_columns(n).pack(
                     *numbers,
@@ -192,8 +191,23 @@ def encode_payload(record: ProfileRecord) -> bytes:
 
 
 @lru_cache(maxsize=256)
-def _string_names(table: bytes) -> tuple[str, ...]:
-    """The names of an encoded string table whose bounds were checked."""
+def _operator_layout(table: bytes, per_step: bytes, codes: bytes) -> tuple:
+    """Where each step's operators sit in a payload's operator columns.
+
+    ``table`` is the payload's string table, ``per_step`` its per-step
+    operator counts and ``codes`` its name index and device columns, as
+    raw bytes; the string table's bounds were checked. Returns, per
+    step, its slice bounds in the operator columns, its keys and
+    devices, and the positions to read when a key repeats: its first
+    position with its last entry's values, as filling a dict entry by
+    entry would (None when no key repeats).
+
+    A job's records name the same operators in the same places record
+    after record (the share of repeats on each benchmark workload is in
+    docs/performance.md), so the layout is looked up by these bytes:
+    records that repeat a layout share its key and device tuples, and
+    lookups on those keys downstream succeed on identity.
+    """
     (n_names,) = _U32.unpack_from(table, 0)
     names = []
     offset = 4
@@ -202,23 +216,6 @@ def _string_names(table: bytes) -> tuple[str, ...]:
         offset += 2
         names.append(table[offset : offset + length].decode("utf-8"))
         offset += length
-    return tuple(names)
-
-
-@lru_cache(maxsize=256)
-def _operator_layout(names: tuple[str, ...], per_step: bytes, codes: bytes) -> tuple:
-    """Where each step's operators sit in a payload's operator columns.
-
-    ``per_step`` is the payload's per-step operator counts and ``codes``
-    its name index and device columns, as raw bytes. Returns, per step,
-    its slice bounds in the operator columns, its keys and devices, and
-    the positions to read when a key repeats: its first position with
-    its last entry's values, as filling a dict entry by entry would
-    (None when no key repeats).
-
-    Payloads that name the same operators in the same places share one
-    layout, and with it their key and device tuples.
-    """
     m = len(codes) // 5
     name_indices = struct.unpack(f"<{m}I", codes[: 4 * m])
     device_codes = codes[4 * m :]
@@ -265,7 +262,7 @@ def decode_payload(buffer) -> ProfileRecord:
             offset += 2 + length
             if offset > size:
                 raise CodecError("string table overruns the payload")
-        names = _string_names(bytes(view[table_start:offset]))
+        table_end = offset
         (n,) = _U32.unpack_from(view, offset)
         offset += 4
         record = ProfileRecord(
@@ -293,7 +290,7 @@ def decode_payload(buffer) -> ProfileRecord:
             operator_columns = _operator_columns(m)
             operators = operator_columns.unpack_from(view, offset)
             layout = _operator_layout(
-                names,
+                bytes(view[table_start:table_end]),
                 bytes(view[per_step_at : per_step_at + 4 * n]),
                 bytes(view[offset : offset + 5 * m]),
             )
@@ -327,6 +324,9 @@ def decode_payload(buffer) -> ProfileRecord:
                 record_steps[number] = StepStats(
                     number, None, _KIND_BY_CODE[code], start, end, idle, mxu, columns
                 )
+        elif n_names:
+            # No step names an operator, but the string table must still decode.
+            _operator_layout(bytes(view[table_start:table_end]), b"", b"")
         if offset != size:
             raise CodecError("trailing bytes after the record payload")
     except (struct.error, UnicodeDecodeError) as error:

@@ -167,6 +167,23 @@ class OperatorTable:
     def __len__(self) -> int:
         return len(self.counts)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OperatorTable):
+            return NotImplemented
+        # Equal indexes map every key to the same position, so this
+        # compares the entries in insertion order.
+        return (
+            self.index == other.index
+            and self.counts == other.counts
+            and self.durations == other.durations
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        entries = dict(zip(self.index, zip(self.counts, self.durations)))
+        return f"OperatorTable({entries!r})"
+
     def _append(self, key: tuple[str, str], count: int, duration: float) -> None:
         self.index[key] = len(self.counts)
         self.counts.append(count)
@@ -392,20 +409,6 @@ class StepStats:
             for owner, duration in zip(columns.devices, columns.durations)
             if device is None or owner is device
         )
-
-    def merge(self, other: "StepStats") -> None:
-        """Fold a later record's view of the same step into this one."""
-        folded = fold_view(self, other)
-        self._operators = None
-        self._keys, self._devices, self._counts, self._durations = folded.columns
-        (
-            _,
-            self.kind,
-            self.start_us,
-            self.end_us,
-            self.tpu_idle_us,
-            self.mxu_flops,
-        ) = folded._metadata()
 
 
 def _as_dict(columns: OperatorColumns) -> dict:

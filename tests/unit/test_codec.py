@@ -186,6 +186,13 @@ class TestFrames:
         with pytest.raises(CodecError, match="malformed record payload"):
             codec.decode_frame(frame)
 
+    def test_invalid_utf8_name_without_steps_is_a_codec_error(self):
+        # The string table is decoded even when no step refers to it.
+        header = codec.encode_payload(_record(0, []))[:-8]
+        payload = header + struct.pack("<IH", 1, 1) + b"\xff" + struct.pack("<I", 0)
+        with pytest.raises(CodecError, match="malformed record payload"):
+            codec.decode_payload(payload)
+
 
 class TestBinaryJournal:
     def _write(self, path, count=4):

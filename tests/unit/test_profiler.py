@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.profiler.options import ProfilerOptions
 from repro.core.profiler.profiler import TPUPointProfiler
-from repro.core.profiler.record import OperatorStats, ProfileRecord, StepStats
+from repro.core.profiler.record import (
+    OperatorStats,
+    ProfileRecord,
+    StepStats,
+    fold_view,
+)
 from repro.core.profiler.recorder import RecordingThread
 from repro.errors import ConfigurationError, ProfilerError
 from repro.runtime.events import DeviceKind, StepKind, StepMetadata
@@ -73,14 +78,14 @@ class TestStepStats:
         b.observe("MatMul", DeviceKind.TPU, 5.0)
         b.observe("Sum", DeviceKind.TPU, 1.0)
         b.attach_metadata(StepMetadata(1, StepKind.TRAIN, 0.0, 10.0, 1.0, 2.0))
-        a.merge(b)
+        a = fold_view(a, b)
         assert a.operators[("MatMul", "tpu")].total_duration_us == 15.0
         assert a.kind is StepKind.TRAIN
         assert a.elapsed_us == 10.0
 
     def test_merge_step_mismatch_rejected(self):
         with pytest.raises(ProfilerError):
-            StepStats(step=1).merge(StepStats(step=2))
+            fold_view(StepStats(step=1), StepStats(step=2))
 
 
 class TestRecorder:

@@ -16,6 +16,7 @@ from repro.serve import (
     JobRegistry,
     JobState,
     LiveJobAnalysis,
+    LivePhase,
 )
 
 
@@ -176,6 +177,16 @@ class TestLiveJobAnalysis:
         tops = [stats.name for stats in longest.top_operators(2, DeviceKind.TPU)]
         assert len(tops) == 2 and set(tops) <= set(_OPS_A + _OPS_B)
         assert longest.first_step <= longest.last_step
+
+    def test_identically_folded_phases_compare_equal(self):
+        first, second = LivePhase(phase_id=0), LivePhase(phase_id=0)
+        for phase in (first, second):
+            for number in range(3):
+                phase.fold(_step(number, _OPS_A))
+        assert first == second
+        assert "('matmul', 'tpu'): (3, 30.0)" in repr(first)
+        second.fold(_step(3, _OPS_A))
+        assert first != second
 
     def test_withholds_newest_until_finish(self):
         analysis = LiveJobAnalysis()
