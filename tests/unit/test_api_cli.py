@@ -604,6 +604,21 @@ class TestCliHealth:
             "CIRCUIT_FLAP", "GOODPUT_BURN", "PHASE_DRIFT",
         }
 
+    def test_health_and_alert_dumps_pass_the_obs_loaders(self, capsys, tmp_path):
+        health, alerts = tmp_path / "health.json", tmp_path / "alerts.json"
+        assert cli_main(["health", *self.BURST, "--out", str(health)]) == 0
+        assert cli_main(["alerts", *self.BURST, "--out", str(alerts)]) == 0
+        capsys.readouterr()
+        assert cli_main(["obs", str(health), str(alerts)]) == 0
+        out = capsys.readouterr().out
+        assert "health dump @ tick" in out and "alert dump" in out
+
+    def test_healthy_run_pages_nobody(self, capsys):
+        assert cli_main(["alerts", "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "== alert timeline (0 transitions" in out
+        assert "-- still firing (0) --" in out
+
     def test_alerts_ack(self, capsys):
         # A healthy run has nothing firing, so the ack count is zero —
         # the flag path still has to work.
@@ -615,3 +630,54 @@ class TestCliHealth:
     def test_health_rejects_bad_jobs(self, capsys):
         assert cli_main(["health", "--jobs", "0"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestCliSdc:
+    PLAN = str(
+        Path(__file__).resolve().parents[2] / "examples" / "faults" / "sdc_burst.json"
+    )
+    BURST = [
+        "--faults", PLAN,
+        "--checkpoint-every", "48",
+        "--checkpoint-bytes", "4e9",
+    ]
+
+    def test_alert_timeline_matches_the_golden_at_1_and_2_shards(self, capsys, tmp_path):
+        golden = (GOLDEN / "sdc_burst_alerts.json").read_text(encoding="utf-8")
+        for shards in ("1", "2"):
+            out_path = tmp_path / f"alerts_{shards}.json"
+            code = cli_main(
+                ["alerts", *self.BURST, "--shards", shards, "--out", str(out_path)]
+            )
+            assert code == 0
+            assert out_path.read_text(encoding="utf-8") == golden, shards
+        capsys.readouterr()
+        transitions = {
+            event["transition"]
+            for event in json.loads(golden)["events"]
+            if event["rule"] == "CHIP_SDC_SUSPECT"
+        }
+        assert transitions == {"fired", "resolved"}
+
+    @pytest.mark.parametrize(
+        ("shards", "golden"),
+        [("1", "sdc_burst_health_shards1.json"), ("2", "sdc_burst_health.json")],
+    )
+    def test_health_dump_matches_the_golden(self, capsys, tmp_path, shards, golden):
+        out_path = tmp_path / "health.json"
+        code = cli_main(
+            ["health", *self.BURST, "--shards", shards, "--out", str(out_path)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert out_path.read_text(encoding="utf-8") == (GOLDEN / golden).read_text(
+            encoding="utf-8"
+        )
+
+    def test_clean_fleet_scrubs_clean(self, capsys):
+        assert cli_main(["scrub", "--chips", "4"]) == 0
+        assert "suspect chips : none" in capsys.readouterr().out
+
+    def test_scrub_names_exactly_the_corrupted_chips(self, capsys):
+        assert cli_main(["scrub", "--chips", "4", "--faults", self.PLAN]) == 0
+        assert "suspect chips : chip-1, chip-2" in capsys.readouterr().out
