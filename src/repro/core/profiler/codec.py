@@ -188,6 +188,11 @@ def encode_payload(record: ProfileRecord) -> bytes:
         )
     except struct.error as error:
         raise CodecError(f"record {record.index} does not fit the codec: {error}")
+    except UnicodeEncodeError as error:
+        raise CodecError(
+            f"record {record.index} has an operator name UTF-8 cannot encode: "
+            f"{error.object!r}"
+        ) from None
 
 
 @lru_cache(maxsize=256)

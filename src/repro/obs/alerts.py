@@ -18,12 +18,23 @@ an alert **fires** and stay clear for ``clear_ticks`` before it
 sample neither pages nor flaps. Every transition appends one deduped
 :class:`AlertEvent` to the engine's log; between transitions a firing
 alert emits nothing, which is what makes the event log diffable in CI.
+
+An evaluation looks only at the scopes that are *due*: a scope whose
+series was written (or went stale) since the previous evaluation, one
+whose alert is mid-streak (its condition disagrees with its state, so
+``for_ticks`` or ``clear_ticks`` is still counting), and an absence
+scope whose series is stale while its alert fires or its threshold is
+reached. Any other scope would read the same input as last time and
+change nothing, so skipping it is exact; the event log is the one a
+full scan of every scope emits, in the same rule-then-scope order.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import heapq
+import math
+from dataclasses import dataclass
 
 from repro.errors import ObsError
 from repro.obs.drift import DEFAULT_DRIFT_DISTANCE, DEFAULT_SDC_DROP
@@ -87,12 +98,12 @@ class AlertRule:
     def wildcard(self) -> bool:
         return self.series.endswith("*")
 
-    def scopes(self, store: RingStore) -> list[tuple[str, str]]:
-        """``(series_name, scope)`` pairs this rule watches right now."""
+    def scope_of(self, series: str) -> str | None:
+        """The scope this rule watches in ``series``, or None."""
         if not self.wildcard:
-            return [(self.series, "fleet")]
+            return "fleet" if series == self.series else None
         prefix = self.series[:-1]
-        return [(name, name[len(prefix):]) for name in store.match(prefix)]
+        return series[len(prefix):] if series.startswith(prefix) else None
 
     def breached(self, value: float) -> bool:
         if self.comparison == "above":
@@ -144,7 +155,12 @@ class AlertEvent:
 
 @dataclass
 class Alert:
-    """Mutable state machine for one (rule, scope) pair."""
+    """Mutable state machine for one (rule, scope) pair.
+
+    The streak that decides the next transition is exact. An alert whose
+    condition agrees with its state is not re-evaluated until its input
+    changes, so the other streak stops at the count it had reached.
+    """
 
     rule: AlertRule
     scope: str
@@ -173,7 +189,11 @@ class Alert:
 
 
 class AlertEngine:
-    """Evaluates rules each sampling tick; owns the deduped event log."""
+    """Evaluates rules each sampling tick; owns the deduped event log.
+
+    One engine evaluates one :class:`RingStore`: it learns which series
+    were written from the store's :meth:`~RingStore.drain_changes`.
+    """
 
     def __init__(self, rules: tuple[AlertRule, ...] | list[AlertRule]):
         names = [rule.name for rule in rules]
@@ -182,7 +202,17 @@ class AlertEngine:
         self.rules = tuple(rules)
         self.events: list[AlertEvent] = []
         self.last_tick = 0
+        #: Alerts firing now.
+        self.firing = 0
+        #: Scopes the last :meth:`evaluate` looked at.
+        self.scopes_evaluated = 0
         self._alerts: dict[tuple[str, str], Alert] = {}
+        # Scopes due at the next evaluation, as (rule index, scope) ->
+        # series, and absence scopes due once a later tick is reached.
+        self._due: dict[tuple[int, str], str] = {}
+        self._wake: list[tuple[int, int, str, str]] = []
+        # Series name -> the (rule index, scope) pairs watching it.
+        self._routes: dict[str, tuple[tuple[int, str], ...]] = {}
 
     # --- evaluation --------------------------------------------------------
 
@@ -196,6 +226,7 @@ class AlertEngine:
                 alert.since_tick = tick
                 alert.fired_count += 1
                 alert.acked = False
+                self.firing += 1
                 return AlertEvent(
                     tick=tick,
                     rule=alert.rule.name,
@@ -210,6 +241,7 @@ class AlertEngine:
             alert.bad_streak = 0
             if alert.firing and alert.good_streak >= alert.rule.clear_ticks:
                 alert.state = AlertState.RESOLVED
+                self.firing -= 1
                 return AlertEvent(
                     tick=tick,
                     rule=alert.rule.name,
@@ -222,45 +254,73 @@ class AlertEngine:
         return None
 
     def evaluate(self, store: RingStore, tick: int) -> list[AlertEvent]:
-        """Evaluate every rule against ``store`` at ``tick``.
+        """Evaluate every due scope against ``store`` at ``tick``.
 
         A series with no fresh sample this tick (stale or missing)
         counts as *clear* for threshold/rate rules — so a completed
         job's per-scope alerts resolve instead of firing forever — and
         as *breached* for absence rules once staleness exceeds the
-        threshold.
+        threshold. Scopes that are not due (see the module docstring)
+        would evaluate to no change and are skipped.
         """
         if tick <= self.last_tick and self.last_tick:
             raise ObsError(
                 f"alert ticks must increase: got {tick} after {self.last_tick}"
             )
         self.last_tick = tick
+        due, self._due = self._due, {}
+        wake = self._wake
+        while wake and wake[0][0] <= tick:
+            _, index, scope, series_name = heapq.heappop(wake)
+            due[(index, scope)] = series_name
+        for series_name in store.drain_changes():
+            routes = self._routes.get(series_name)
+            if routes is None:
+                routes = self._routes[series_name] = tuple(
+                    (index, scope)
+                    for index, rule in enumerate(self.rules)
+                    if (scope := rule.scope_of(series_name)) is not None
+                )
+            for route in routes:
+                due[route] = series_name
+        self.scopes_evaluated = len(due)
         emitted: list[AlertEvent] = []
-        for rule in self.rules:
-            for series_name, scope in rule.scopes(store):
-                ring = store.get(series_name)
-                key = (rule.name, scope)
-                alert = self._alerts.get(key)
-                if rule.kind == "absence":
-                    if ring is None or ring.last_tick() is None:
-                        continue  # never reported; nothing to go silent
-                    staleness = tick - ring.last_tick()
-                    bad = staleness > rule.threshold
-                    value = float(staleness)
-                else:
-                    if ring is None:
-                        continue
-                    fresh = ring.last_tick() == tick
-                    value = ring.last() if fresh else 0.0
-                    bad = fresh and rule.breached(value)
-                    if alert is None and not bad:
-                        continue  # don't materialize healthy scopes
-                if alert is None:
-                    alert = Alert(rule=rule, scope=scope)
-                    self._alerts[key] = alert
-                event = self._observe(alert, tick, value, bad)
-                if event is not None:
-                    emitted.append(event)
+        for index, scope in sorted(due):
+            rule = self.rules[index]
+            series_name = due[(index, scope)]
+            ring = store.get(series_name)
+            if ring is None:
+                continue
+            key = (rule.name, scope)
+            alert = self._alerts.get(key)
+            last_tick = ring.last_tick()
+            if rule.kind == "absence":
+                if last_tick is None:
+                    continue  # never reported; nothing to go silent
+                staleness = tick - last_tick
+                bad = staleness > rule.threshold
+                value = float(staleness)
+            else:
+                value = ring.last() if last_tick == tick else 0.0
+                bad = last_tick == tick and rule.breached(value)
+                if alert is None and not bad:
+                    continue  # don't materialize healthy scopes
+            if alert is None:
+                alert = Alert(rule=rule, scope=scope)
+                self._alerts[key] = alert
+            event = self._observe(alert, tick, value, bad)
+            if event is not None:
+                emitted.append(event)
+            if bad != alert.firing or (last_tick == tick and not ring.held):
+                # Mid-streak, or fresh from a one-off write: it either
+                # changes or goes stale by the next evaluation.
+                self._due[(index, scope)] = series_name
+            elif rule.kind == "absence" and last_tick < tick:
+                if alert.firing:
+                    self._due[(index, scope)] = series_name  # staleness grows
+                elif math.isfinite(rule.threshold):
+                    breach = last_tick + math.floor(rule.threshold) + 1
+                    heapq.heappush(wake, (breach, index, scope, series_name))
         self.events.extend(emitted)
         return emitted
 
@@ -271,6 +331,7 @@ class AlertEngine:
         for alert in self._ordered_alerts():
             if alert.firing:
                 alert.state = AlertState.RESOLVED
+                self.firing -= 1
                 alert.good_streak = alert.rule.clear_ticks
                 alert.bad_streak = 0
                 emitted.append(

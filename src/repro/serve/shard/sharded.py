@@ -22,7 +22,8 @@ across N independent ``FleetService`` shards:
   tenant's journaled deliveries replay into fresh shards on the new
   ring through the calls that first applied them, and the goodput
   ledger attaches only *after* replay so no tenant's wall time is ever
-  double-charged.
+  double-charged. Change feeds (:meth:`change_feed`) move to the fresh
+  shards and ask their consumer for one rescan.
 
 The fleet owns one :class:`~repro.serve.shard.ledger.GoodputLedger`
 shared by all shards, so goodput/badput accounting stays fleet-wide
@@ -31,6 +32,7 @@ across rebalances.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,6 +46,7 @@ from repro.serve.live import LiveJobAnalysis
 from repro.serve.query import FleetSnapshot, JobSnapshot, fleet_snapshot
 from repro.serve.registry import JobInfo
 from repro.serve.service import (
+    ChangeFeed,
     FleetService,
     FleetServiceOptions,
     QuarantinedRecord,
@@ -147,6 +150,7 @@ class ShardedFleet:
         self.ledger = GoodputLedger()
         self.shards: list[FleetService] = []
         self._knowledge: TuningKnowledgeBase | None = None
+        self._feeds: weakref.WeakSet[ChangeFeed] = weakref.WeakSet()
         self._build_shards(self.options.shards)
         self._tenants: dict[str, _TenantEntry] = {}
         self._sequence = 0
@@ -318,6 +322,8 @@ class ShardedFleet:
         if chip in self._quarantined_chips:
             return []
         self._quarantined_chips[chip] = 1
+        for feed in self._feeds:
+            feed.chips = True
         shard_indices = sorted(
             {
                 self._entry(job_id).shard
@@ -458,12 +464,23 @@ class ShardedFleet:
 
     # --- health ------------------------------------------------------------
 
+    def change_feed(self, feed: ChangeFeed | None = None) -> ChangeFeed:
+        """Serve ``feed`` (a new one by default) from every shard; returns it.
+
+        The shards mark their tenants in it directly, and :meth:`resize`
+        moves it to the fresh shards and sets its ``rescan``.
+        """
+        feed = ChangeFeed() if feed is None else feed
+        self._feeds.add(feed)
+        for service in self.shards:
+            service.change_feed(feed)
+        return feed
+
     def live_analyses(self) -> list[tuple[str, LiveJobAnalysis]]:
         """``(job_id, analysis)`` per live tenant, in registration order.
 
         Gathers from the owning shards but orders by the fleet-global
-        sequence — the same order a single service reports — so the
-        health monitor's drift series are shard-count invariant.
+        sequence — the same order a single service reports.
         """
         found: list[tuple[str, LiveJobAnalysis]] = []
         for entry in self._ordered_tenants():
@@ -574,6 +591,12 @@ class ShardedFleet:
             # re-charge goodput the original ingest already recorded.
             for service in services:
                 service.attach_ledger(self.ledger)
+            # The replayed analyses are new objects: each feed's
+            # consumer walks them once.
+            for feed in self._feeds:
+                feed.rescan = True
+                for service in services:
+                    service.change_feed(feed)
             self.shards = services
             self.ring = ring
             _SHARDS_GAUGE.labels().set(shards)

@@ -186,6 +186,21 @@ class TestFrames:
         with pytest.raises(CodecError, match="malformed record payload"):
             codec.decode_frame(frame)
 
+    def test_unencodable_name_is_a_codec_error_naming_the_record(self):
+        record = _record(7, [_step(14, [("x\udc80", DeviceKind.TPU, 5.0)])])
+        with pytest.raises(CodecError, match="record 7 .*UTF-8"):
+            codec.encode_frame(0, record)
+
+    def test_unencodable_name_through_the_fleet_sink(self):
+        from repro.serve import FleetService
+
+        service = FleetService()
+        job = service.register("bert-mrpc").job_id
+        record = _record(3, [_step(6, [("x\udc80", DeviceKind.TPU, 5.0)])])
+        with pytest.raises(CodecError, match="record 3 "):
+            service.sink(job)(record)
+        assert service.metrics.records_submitted == 0
+
     def test_invalid_utf8_name_without_steps_is_a_codec_error(self):
         # The string table is decoded even when no step refers to it.
         header = codec.encode_payload(_record(0, []))[:-8]
@@ -213,6 +228,19 @@ class TestBinaryJournal:
         assert recovery.bytes_total == path.stat().st_size > 0
         for original, recovered in zip(records, recovery.records):
             _assert_identical(original, recovered)
+
+    def test_unencodable_name_is_refused_before_the_block_is_written(self, tmp_path):
+        path = tmp_path / "run.journal"
+        journal = RecordJournal(path)
+        journal.append(_typical_record(0))
+        bad = _record(1, [_step(2, [("x\udc80", DeviceKind.TPU, 5.0)])])
+        with pytest.raises(CodecError, match="record 1 "):
+            journal.append(bad)
+        journal.append(_typical_record(2))
+        journal.close()
+        recovery = recover_journal(path)
+        assert recovery.lossless
+        assert [record.index for record in recovery.records] == [0, 2]
 
     def test_torn_tail_mid_block_keeps_full_blocks(self, tmp_path):
         path = tmp_path / "run.journal"
@@ -335,6 +363,11 @@ class TestBinaryRecordStore:
         loaded = load_records(tmp_path / "store")
         for original, recovered in zip(records, loaded):
             _assert_identical(original, recovered)
+
+    def test_unencodable_name_is_a_codec_error(self, tmp_path):
+        records = [_typical_record(0), _record(1, [_step(2, [("x\udc80", DeviceKind.TPU, 5.0)])])]
+        with pytest.raises(CodecError, match="record 1 "):
+            save_records(records, tmp_path / "store")
 
     @pytest.mark.parametrize("damage", ["torn", "corrupt", "missing", "no-magic", "utf8"])
     def test_damaged_store_file_is_named(self, tmp_path, damage):

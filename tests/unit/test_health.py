@@ -575,7 +575,9 @@ def _tenant_record(index, scale, excursion=False, steps=2):
 
 
 class _HiddenJobs:
-    """A fleet view that shows the monitor no live analyses."""
+    """A fleet view that shows the monitor no tenants: no change feed."""
+
+    change_feed = None
 
     def __init__(self, service):
         self._service = service

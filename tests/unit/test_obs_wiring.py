@@ -258,3 +258,61 @@ class TestCliObsFlags:
         bad.write_text("{{{ not exposition\n")
         assert cli_main(["obs", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestHealthWiring:
+    def test_health_trace_has_one_span_per_sample_counting_senders(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        trace_path = tmp_path / "health.json"
+        assert cli_main(["health", "--jobs", "6", "--trace-out", str(trace_path)]) == 0
+        header = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("== fleet health @ tick")
+        ][-1]
+        samples = int(header.split("(")[1].split()[0])
+        events = sorted(
+            (e for e in obs.load_trace(trace_path) if e.get("ph") == "X"),
+            key=lambda e: e["ts"],
+        )
+        observed = [e for e in events if e["name"] == "health.observe"]
+        assert len(observed) == samples > 2
+        assert observed[0]["args"]["tenants"] == 6  # the first sample walks everyone
+        # Later samples look at the tenants that folded steps (each
+        # global pump's drained tenants) or completed since the previous one.
+        since = 0
+        for event in events[events.index(observed[0]) + 1:]:
+            if event["name"] == "serve.pump" and event["args"]["job"] == "all":
+                since += event["args"]["tenants"]
+            elif event["name"] == "serve.complete":
+                since += 1
+            elif event["name"] == "health.observe":
+                assert event["args"]["tenants"] == since, event["args"]
+                assert event["args"]["points"] > 0 and event["args"]["scopes"] > 0
+                since = 0
+
+    def test_a_sample_looks_at_senders_not_live_tenants(self, span_marker):
+        from repro.obs.health import HealthMonitor
+        from repro.core.profiler.record import ProfileRecord, StepStats
+        from repro.runtime.events import DeviceKind
+
+        service = FleetService()
+        jobs = [service.register("synthetic").job_id for _ in range(40)]
+        monitor = HealthMonitor()
+        for tick in range(1, 6):
+            for job in jobs[:3]:
+                record = ProfileRecord(index=tick, window_start_us=0.0, window_end_us=1.0)
+                for number in (2 * tick, 2 * tick + 1):
+                    step = StepStats(step=number)
+                    step.observe("MatMul", DeviceKind.TPU, 10.0)
+                    step.start_us, step.end_us = number * 100.0, number * 100.0 + 50.0
+                    record.steps[number] = step
+                service.submit(job, record)
+            service.pump()
+            monitor.observe(service, tick)
+        tenants = [
+            span.attributes["tenants"]
+            for span in _spans_after(span_marker)
+            if span.name == "health.observe"
+        ]
+        assert tenants == [40, 3, 3, 3, 3]

@@ -449,6 +449,65 @@ class TestQuarantine:
         assert validate_record(record) is None
         assert validate_record(record, checksum=record_checksum(record)) is None
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        ("where", "expected"),
+        [
+            ("duration", "non-finite duration for operator 'fusion'"),
+            ("count", "non-finite count for operator 'fusion'"),
+            ("start_us", "step 0 has a non-finite start_us"),
+            ("end_us", "step 0 has a non-finite end_us"),
+            ("tpu_idle_us", "step 0 has a non-finite tpu_idle_us"),
+            ("mxu_flops", "step 0 has a non-finite mxu_flops"),
+            ("window_start_us", "non-finite window_start_us"),
+            ("window_end_us", "non-finite window_end_us"),
+        ],
+    )
+    def test_validate_record_names_a_non_finite_field(self, where, expected, value):
+        from repro.serve import validate_record
+
+        record = _record(0, [_step(0, _OPS_A)])
+        step = record.steps[0]
+        if where in ("duration", "count"):
+            # Second of three operators: a NaN past the first entry hides
+            # from min().
+            stats = step.operators[("fusion", DeviceKind.TPU.value)]
+            if where == "duration":
+                stats.total_duration_us = value
+            else:
+                stats.count = value
+        elif where.startswith("window"):
+            setattr(record, where, value)
+            if where == "window_start_us" and value == float("-inf"):
+                record.window_end_us = 1.0
+        else:
+            setattr(step, where, value)
+        reason = validate_record(record)
+        if value == float("-inf") and where in ("duration", "count"):
+            expected = expected.replace("non-finite", "negative")
+        assert reason is not None and reason.startswith(expected), reason
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_nan_operator_total_is_quarantined_at_the_wire(self, shards):
+        from repro.serve.shard import ShardedFleet, ShardedFleetOptions
+
+        tier = ShardedFleet(ShardedFleetOptions(shards=shards))
+        job = tier.register("bert-mrpc").job_id
+        send = tier.sink(job)
+        for index in range(8):
+            ops = _OPS_A if index % 4 else _OPS_B
+            record = _record(index, [_step(2 * index + k, ops) for k in range(2)])
+            if index == 5:
+                stats = record.steps[10].operators[("matmul", DeviceKind.TPU.value)]
+                stats.total_duration_us = float("nan")
+            send(record)
+        tier.pump()
+        assert tier.metrics.records_quarantined == 1
+        [entry] = tier.quarantined(job)
+        assert entry.record.index == 5 and "non-finite duration" in entry.reason
+        result = tier.phase_analysis(job)
+        assert len(result.labels) == tier.analysis(job).steps_seen >= 12
+
 
 class TestStalling:
     def _service(self, deadline=2):
