@@ -25,6 +25,7 @@ from repro.serve.metrics import ServiceMetrics
 from repro.serve.query import FleetSnapshot, JobSnapshot, PhaseView
 from repro.serve.registry import JobInfo, JobRegistry, JobState
 from repro.serve.service import (
+    ChangeFeed,
     FleetService,
     FleetServiceOptions,
     QuarantinedRecord,
@@ -40,6 +41,7 @@ from repro.serve.shard import (
 )
 
 __all__ = [
+    "ChangeFeed",
     "DEFAULT_FLEET_WORKLOADS",
     "DEFAULT_QUEUE_CAPACITY",
     "FleetJobResult",
