@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +38,11 @@ from repro.runtime.rpc import ProfileResponse
 
 
 @lru_cache(maxsize=256)
-def _fold_layout(names: tuple[str, ...], device: DeviceKind):
-    """How a block with these op names folds into per-operator totals.
+def _fold_layout(names: tuple[str, ...], device: str):
+    """How a block with these op names, on the device of this value, folds into totals.
+
+    Keyed by the device's value, not the member: an enum member hashes
+    in Python code, and this runs once per block.
 
     Returns the operator keys of the distinct names in first-appearance
     order and their counts, the table shape ``(distinct names, 1 + most
@@ -60,7 +64,7 @@ def _fold_layout(names: tuple[str, ...], device: DeviceKind):
     for index, row in enumerate(slots):
         seen[row] += 1
         slots[index] = row * width + seen[row]
-    keys = tuple((name, device.value) for name in rows)
+    keys = tuple((name, device) for name in rows)
     return keys, tuple(counts), (len(counts), width), np.array(slots, dtype=np.intp)
 
 
@@ -204,7 +208,7 @@ class OperatorTable:
 
     def add_event(self, name: str, device: DeviceKind, duration_us: float) -> None:
         """Add one operator invocation."""
-        key = (name, device.value)
+        key = (name, device._value_)
         position = self.index.get(key)
         if position is None:
             self._append(key, 1, 0.0 + duration_us)
@@ -222,13 +226,28 @@ class OperatorTable:
         rows are padded with 0.0, which leaves a non-negative total
         unchanged. A pairwise sum (``np.sum``) would round differently,
         and so would Python's ``sum()`` from 3.12 on, which compensates.
+
+        A block whose keys are all new to the table is appended in one
+        pass, and when each of its names occurs once an operator's total
+        is ``0.0 + d`` with no row table at all.
         """
-        keys, counts, shape, slots = _fold_layout(block.names, block.device)
-        found = [self.index.get(key) for key in keys]
+        keys, counts, shape, slots = _fold_layout(block.names, block.device._value_)
+        index = self.index
+        if index.keys().isdisjoint(keys):
+            if shape[1] == 2:
+                totals = (block.durations + 0.0).tolist()
+            else:
+                table = np.zeros(shape)
+                table.put(slots, block.durations)
+                totals = table.cumsum(axis=1)[:, -1].tolist()
+            index.update(zip(keys, range(len(self.counts), len(self.counts) + len(keys))))
+            self.counts.extend(counts)
+            self.durations.extend(totals)
+            return
+        found = [index.get(key) for key in keys]
         table = np.zeros(shape)
         table.put(slots, block.durations)
-        if found.count(None) < len(found):
-            table[:, 0] = [0.0 if at is None else self.durations[at] for at in found]
+        table[:, 0] = [0.0 if at is None else self.durations[at] for at in found]
         totals = table.cumsum(axis=1)[:, -1].tolist()
         for key, count, total, position in zip(keys, counts, totals, found):
             if position is None:
@@ -242,7 +261,7 @@ class OperatorTable:
         keys = tuple(self.index)
         return OperatorColumns(
             keys,
-            tuple(_DEVICE_BY_VALUE[value] for _, value in keys),
+            tuple(map(_DEVICE_BY_VALUE.__getitem__, map(itemgetter(1), keys))),
             tuple(self.counts),
             tuple(self.durations),
         )

@@ -49,21 +49,3 @@ class StageSpec:
         if any(weight <= 0 for _, weight in self.ops):
             raise ConfigurationError("op weights must be positive")
 
-
-@dataclass(frozen=True)
-class StageCost:
-    """A stage's realized cost for one batch."""
-
-    name: str
-    kind: StageKind
-    wall_us: float
-    ops: tuple[tuple[str, float], ...]
-
-    def op_durations(self) -> list[tuple[str, float]]:
-        """Split this stage's wall time across its named operators."""
-        if not self.ops:
-            return [(self.name, self.wall_us)]
-        total_weight = sum(weight for _, weight in self.ops)
-        return [
-            (op_name, self.wall_us * weight / total_weight) for op_name, weight in self.ops
-        ]

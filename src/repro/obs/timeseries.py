@@ -35,6 +35,7 @@ bit-identical rings at any shard count.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from itertools import islice
 
@@ -98,6 +99,8 @@ class _SampleClock:
     __slots__ = ("count", "_ticks")
 
     def __init__(self, capacity: int):
+        if capacity >= sys.maxsize:
+            raise ObsError(f"ring capacity must be below {sys.maxsize}, got {capacity}")
         self.count = 0
         self._ticks: deque[int] = deque(maxlen=capacity + 1)
 

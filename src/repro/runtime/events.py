@@ -143,11 +143,20 @@ class EventLog:
     service serves windows straight from them. ``events`` expands them
     into :class:`TraceEvent` records on each access, for callers that
     want one object per execution.
+
+    ``steps`` holds the step metadata in step order. While no step
+    starts or ends before the one logged ahead of it, which a training
+    session guarantees, :meth:`steps_between` finds a window's steps
+    from a cursor instead of scanning them all.
     """
 
     entries: list[TraceEvent | OpBlock] = field(default_factory=list)
     steps: list[StepMetadata] = field(default_factory=list)
     num_events: int = field(default=0, init=False)
+    #: Whether step starts and ends never decrease in ``steps``.
+    _steps_ordered: bool = field(default=True, init=False, repr=False)
+    #: Where the last :meth:`steps_between` found its first step.
+    _step_cursor: int = field(default=0, init=False, repr=False)
 
     def append_event(self, event: TraceEvent) -> None:
         """Record an operator execution."""
@@ -162,10 +171,15 @@ class EventLog:
 
     def append_step(self, metadata: StepMetadata) -> None:
         """Record a completed step; steps must arrive in order."""
-        if self.steps and metadata.step <= self.steps[-1].step:
-            raise SimulationError(
-                f"step metadata out of order: {metadata.step} after {self.steps[-1].step}"
-            )
+        if self.steps:
+            last = self.steps[-1]
+            if metadata.step <= last.step:
+                raise SimulationError(
+                    f"step metadata out of order: {metadata.step} after {last.step}"
+                )
+            # Written so that a NaN bound also counts as out of order.
+            if not (metadata.start_us >= last.start_us and metadata.end_us >= last.end_us):
+                self._steps_ordered = False
         self.steps.append(metadata)
 
     @property
@@ -181,9 +195,30 @@ class EventLog:
         return self.entries[-1].end_us
 
     def steps_between(self, start_us: float, end_us: float) -> list[StepMetadata]:
-        """Step metadata whose interval overlaps [start_us, end_us)."""
-        return [
-            meta
-            for meta in self.steps
-            if meta.end_us > start_us and meta.start_us < end_us
-        ]
+        """Step metadata whose interval overlaps [start_us, end_us), in step order.
+
+        With ordered steps, the ones ending after ``start_us`` are a
+        suffix of ``steps``, and the ones among them starting before
+        ``end_us`` are a prefix of that suffix. The cursor walks to the
+        suffix's first step from where the previous call found its own,
+        backwards too: a window can start before the one served ahead of
+        it. Profile windows advance a few steps at a time, so a call
+        looks at a few steps however long the log is.
+        """
+        steps = self.steps
+        if not self._steps_ordered:
+            return [
+                meta
+                for meta in steps
+                if meta.end_us > start_us and meta.start_us < end_us
+            ]
+        first = self._step_cursor
+        while first > 0 and steps[first - 1].end_us > start_us:
+            first -= 1
+        while first < len(steps) and not steps[first].end_us > start_us:
+            first += 1
+        self._step_cursor = first
+        last = first
+        while last < len(steps) and steps[last].start_us < end_us:
+            last += 1
+        return steps[first:last]

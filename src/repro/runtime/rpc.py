@@ -115,7 +115,9 @@ class ProfileService:
 
         The window stops at the first execution, in log order, that ends
         past the duration cap or would exceed the event cap. Inside a
-        block ends never decrease, so a binary search finds that cut.
+        block ends never decrease: a block whose last end fits, and whose
+        executions fit under the event cap, is taken whole, and otherwise
+        a binary search over its ends finds the cut.
         """
         max_events = min(request.max_events, MAX_EVENTS_PER_PROFILE)
         max_duration_us = min(request.max_duration_ms, MAX_PROFILE_DURATION_MS) * 1000.0
@@ -134,6 +136,14 @@ class ProfileService:
         while index < len(entries):
             entry = entries[index]
             if isinstance(entry, OpBlock):
+                if offset == 0 and count + len(entry.names) <= max_events:
+                    end = entry.end_us
+                    if end <= window_limit:
+                        taken.append(entry)
+                        count += len(entry.names)
+                        window_end = end if window_end is None else max(window_end, end)
+                        index += 1
+                        continue
                 ends = entry.ends[offset:]
                 fit = int(np.searchsorted(ends, window_limit, side="right"))
                 fit = min(fit, max_events - count)

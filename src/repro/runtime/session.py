@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigurationError, SimulationError
 from repro.host.pipeline import InputPipeline
 from repro.runtime.clock import SimClock
@@ -157,6 +158,11 @@ class TrainingSession:
         self.tpu_worker = TpuWorker(device, self.log)
         self.host_worker = HostWorker(self.log)
         self._hooks: list[StepHook] = []
+        # Each incidental op's chance of appearing in a step, fixed by the plan.
+        self._incidental_ops = tuple(
+            (name, device, min(probability * plan.incidental_scale, 0.5))
+            for name, device, probability in _INCIDENTAL_OPS
+        )
 
         # Execution state.
         self._initialized = False
@@ -253,21 +259,23 @@ class TrainingSession:
         if self._finalized:
             raise SimulationError("session already finalized")
         executed = 0
-        while executed < count and self._global_step < self.plan.train_steps:
-            self._run_train_step()
-            executed += 1
-            if (
-                self.plan.checkpoint_every
-                and self._global_step % self.plan.checkpoint_every == 0
-                and self._global_step < self.plan.train_steps
-            ):
-                self._run_checkpoint()
-            if (
-                self.plan.eval_every
-                and self._global_step % self.plan.eval_every == 0
-                and self._global_step < self.plan.train_steps
-            ):
-                self._run_eval_round()
+        with obs.trace("runtime.run_steps", requested=count) as span:
+            while executed < count and self._global_step < self.plan.train_steps:
+                self._run_train_step()
+                executed += 1
+                if (
+                    self.plan.checkpoint_every
+                    and self._global_step % self.plan.checkpoint_every == 0
+                    and self._global_step < self.plan.train_steps
+                ):
+                    self._run_checkpoint()
+                if (
+                    self.plan.eval_every
+                    and self._global_step % self.plan.eval_every == 0
+                    and self._global_step < self.plan.train_steps
+                ):
+                    self._run_eval_round()
+            span.set(steps=executed)
         return executed
 
     def finalize(self) -> SessionSummary:
@@ -387,9 +395,8 @@ class TrainingSession:
         shape (few phases at the 70% threshold, many at 100%).
         """
         now = start_us
-        for name, device, probability in _INCIDENTAL_OPS:
-            scaled = min(probability * self.plan.incidental_scale, 0.5)
-            if self.rng.random() >= scaled:
+        for name, device, probability in self._incidental_ops:
+            if self.rng.random() >= probability:
                 continue
             duration = 20.0 + float(self.rng.random()) * 120.0
             if device is DeviceKind.HOST:

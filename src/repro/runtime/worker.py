@@ -81,39 +81,25 @@ class HostWorker:
     ) -> None:
         """Log the host ops that produced one batch, ending at ``ready_at_us``.
 
-        The batch's stage costs are laid out serially so that the final
-        (transfer) op finishes exactly when the batch becomes available to
-        the TPU. ``backpressure_us`` extends the transfer op: it is the
-        time the producer spent blocked on a full infeed queue, which is
-        precisely what makes ``TransferBufferToInfeedLocked`` a dominant
-        host operator on TPU-bound workloads.
+        The batch's host ops are laid out serially, in the order of its
+        plan, so that the final (transfer) op finishes exactly when the
+        batch becomes available to the TPU. ``backpressure_us`` extends
+        the op the plan marks as blocked (``TransferBufferToInfeedLocked``,
+        else the last op): it is the time the producer spent blocked on a
+        full infeed queue, which is precisely what makes
+        ``TransferBufferToInfeedLocked`` a dominant host operator on
+        TPU-bound workloads.
         """
-        op_durations = cost.op_durations()
-        total = sum(duration for _, duration in op_durations) + backpressure_us
-        # Charge the blocked time to the locked infeed-DMA op itself; if a
-        # pipeline has no such op, the final stage absorbs it.
-        blocked_index = len(op_durations) - 1
-        for index, (name, _) in enumerate(op_durations):
-            if name == "TransferBufferToInfeedLocked":
-                blocked_index = index
-                break
-        durations = np.array([duration for _, duration in op_durations], dtype=np.float64)
-        if backpressure_us > 0 and op_durations:
-            durations[blocked_index] += backpressure_us
+        plan = cost.plan
+        durations = cost.op_durations()
+        total = sum(durations) + backpressure_us
+        if backpressure_us > 0:
+            durations[plan.blocked] += backpressure_us
         # Lay the ops out back to back, as ``now += duration`` would.
-        times = np.empty(len(durations) + 1)
-        times[0] = ready_at_us - total
-        times[1:] = durations
+        times = np.array([ready_at_us - total, *durations], dtype=np.float64)
+        durations = times[1:].copy()
         np.add.accumulate(times, out=times)
-        self.log.append_block(
-            OpBlock(
-                tuple(name for name, _ in op_durations),
-                DeviceKind.HOST,
-                step,
-                times[:-1],
-                durations,
-            )
-        )
+        self.log.append_block(OpBlock(plan.names, DeviceKind.HOST, step, times[:-1], durations))
 
     def emit_op(self, name: str, step: int, start_us: float, duration_us: float) -> None:
         """Log a single host runtime operator."""

@@ -21,8 +21,8 @@ from repro.core.profiler.record import ProfileRecord
 from repro.core.profiler.serialize import record_checksum
 from repro.faults import FaultPlan
 from repro.faults.inject import FaultyProfileService
-from repro.host.pipeline import BatchCost
-from repro.host.stages import StageCost, StageKind
+from repro.host.pipeline import BatchPlan
+from repro.host.stages import StageKind, StageSpec
 from repro.runtime.events import DeviceKind, EventLog, StepKind, StepMetadata, TraceEvent
 from repro.runtime.rpc import ProfileRequest, ProfileService
 from repro.runtime.worker import HostWorker, TpuWorker
@@ -83,10 +83,9 @@ def schedules(draw):
 @st.composite
 def batches(draw):
     stages = tuple(
-        StageCost(
+        StageSpec(
             name=f"stage{index}",
             kind=StageKind.CPU,
-            wall_us=draw(st.floats(0.0, 900.0)),
             ops=tuple(
                 (draw(st.sampled_from(HOST_NAMES)), draw(st.floats(0.1, 4.0)))
                 for _ in range(draw(st.integers(1, 4)))
@@ -94,8 +93,10 @@ def batches(draw):
         )
         for index in range(draw(st.integers(1, 3)))
     )
-    total = sum(stage.wall_us for stage in stages)
-    return BatchCost(stages, total, 0.0), draw(st.one_of(st.just(0.0), st.floats(0.0, 500.0)))
+    walls = [draw(st.floats(0.0, 900.0)) for _ in stages]
+    # A jitter of 1.0 leaves every drawn wall as it is.
+    cost = BatchPlan.compile(stages, walls).cost(1.0)
+    return cost, draw(st.one_of(st.just(0.0), st.floats(0.0, 500.0)))
 
 
 steps = st.lists(

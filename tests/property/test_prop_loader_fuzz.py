@@ -18,10 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.optimizer.knowledge import TuningKnowledgeBase
 from repro.core.optimizer.surrogate import load_corpus
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.faults import load_plan
 from repro.obs.inspect import load_alerts, load_health, load_metrics, load_trace, summarize
 from repro.runtime.resilience import client_from_config
+from tests.conftest import TINY_DATASET, TinyModel
 
 ROOT = Path(__file__).resolve().parents[2]
 DATA = ROOT / "tests" / "data" / "loaders"
@@ -117,6 +118,15 @@ def test_mutated_knowledge_bases_open(document):
         path.write_text(json.dumps(document), encoding="utf-8")
         kb = TuningKnowledgeBase.open(directory)
         assert len(kb) <= 2
+    # A stored configuration is one the simulation can run, or a miss.
+    for entry in kb.entries:
+        try:
+            config = entry.pipeline_config()
+        except ConfigurationError:
+            continue
+        estimator = TinyModel().build_estimator(TINY_DATASET, pipeline_config=config)
+        assert estimator.train_steps(3) == 3
+        assert all(math.isfinite(meta.end_us) for meta in estimator.session.log.steps)
 
 
 @settings(max_examples=100, deadline=None)

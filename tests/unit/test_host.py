@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.host.pipeline import InputPipeline, PipelineConfig
-from repro.host.stages import StageCost, StageKind, StageSpec
+from repro.host.pipeline import BatchPlan, InputPipeline, PipelineConfig
+from repro.host.stages import StageKind, StageSpec
 from repro.host.vm import HostVM, HostVmSpec
 from repro.storage.bucket import Bucket
 
@@ -53,14 +53,16 @@ class TestStages:
             StageSpec("s", StageKind.CPU, ops=(("x", 0.0),))
 
     def test_op_durations_split_by_weight(self):
-        cost = StageCost("s", StageKind.CPU, wall_us=100.0, ops=(("a", 3.0), ("b", 1.0)))
-        durations = dict(cost.op_durations())
+        stage = StageSpec("s", StageKind.CPU, ops=(("a", 3.0), ("b", 1.0)))
+        cost = BatchPlan.compile((stage,), (100.0,)).cost(1.0)
+        durations = dict(zip(cost.plan.names, cost.op_durations()))
         assert durations["a"] == pytest.approx(75.0)
         assert durations["b"] == pytest.approx(25.0)
 
     def test_op_durations_default_to_stage_name(self):
-        cost = StageCost("decode", StageKind.CPU, wall_us=10.0, ops=())
-        assert cost.op_durations() == [("decode", 10.0)]
+        stage = StageSpec("decode", StageKind.CPU, ops=())
+        cost = BatchPlan.compile((stage,), (10.0,)).cost(1.0)
+        assert list(zip(cost.plan.names, cost.op_durations())) == [("decode", 10.0)]
 
 
 def _pipeline(config=None, decode_us=100.0):
@@ -89,6 +91,29 @@ class TestPipeline:
         with pytest.raises(ConfigurationError):
             PipelineConfig(jitter=-0.1)
 
+    @pytest.mark.parametrize(
+        "knob",
+        ["num_parallel_reads", "num_parallel_calls", "prefetch_depth", "shuffle_buffer", "infeed_threads"],
+    )
+    @pytest.mark.parametrize("value", [2.5, 2.0, float("nan"), True, "3", None, 2**53 + 1])
+    def test_integer_knobs_reject_values_the_simulation_cannot_run(self, knob, value):
+        with pytest.raises(ConfigurationError):
+            PipelineConfig(**{knob: value})
+
+    def test_integer_knobs_accept_numpy_integers(self):
+        config = PipelineConfig(prefetch_depth=np.int64(3), num_parallel_calls=np.int32(4))
+        assert config == PipelineConfig(prefetch_depth=3, num_parallel_calls=4)
+
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), "0.1", True])
+    def test_jitter_must_be_a_finite_number(self, jitter):
+        with pytest.raises(ConfigurationError):
+            PipelineConfig(jitter=jitter)
+
+    @pytest.mark.parametrize("value", [1, "yes", [], None])
+    def test_vectorized_preprocess_must_be_a_bool(self, value):
+        with pytest.raises(ConfigurationError):
+            PipelineConfig(vectorized_preprocess=value)
+
     def test_with_updates_returns_new_config(self):
         config = PipelineConfig()
         updated = config.with_updates(num_parallel_calls=16)
@@ -97,8 +122,8 @@ class TestPipeline:
 
     def test_batch_cost_structure(self, rng):
         cost = _pipeline().batch_cost(64, rng)
-        assert len(cost.stages) == 4
-        assert cost.total_wall_us == pytest.approx(sum(s.wall_us for s in cost.stages))
+        assert len(cost.walls) == 4
+        assert cost.total_wall_us == pytest.approx(sum(cost.walls))
         assert 0.0 < cost.transfer_wall_us < cost.total_wall_us
         assert cost.produce_wall_us == cost.total_wall_us - cost.transfer_wall_us
 
@@ -124,9 +149,9 @@ class TestPipeline:
         # Non-parallelizable stage cost is independent of thread count.
         one = _pipeline(PipelineConfig(num_parallel_calls=1, jitter=0.0)).batch_cost(64, rng)
         many = _pipeline(PipelineConfig(num_parallel_calls=32, jitter=0.0)).batch_cost(64, rng)
-        batch_one = next(s for s in one.stages if s.name == "batch")
-        batch_many = next(s for s in many.stages if s.name == "batch")
-        assert batch_one.wall_us == pytest.approx(batch_many.wall_us)
+        batch_one = one.walls[2]  # the "batch" stage
+        batch_many = many.walls[2]
+        assert batch_one == pytest.approx(batch_many)
 
     def test_shuffle_buffer_costs_cpu(self, rng):
         off = _pipeline(PipelineConfig(shuffle_buffer=0, jitter=0.0)).batch_cost(64, rng)

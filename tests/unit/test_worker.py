@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.host.pipeline import BatchCost
-from repro.host.stages import StageCost, StageKind
+from repro.host.pipeline import BatchPlan
+from repro.host.stages import StageKind, StageSpec
 from repro.runtime.events import DeviceKind, EventLog
 from repro.runtime.master import compile_graph
 from repro.runtime.worker import HostWorker, TpuWorker
@@ -35,15 +35,16 @@ def test_tpu_worker_logs_every_op():
 
 def _batch_cost():
     stages = (
-        StageCost("decode", StageKind.CPU, 300.0, (("DecodeAndCropJpeg", 1.0),)),
-        StageCost(
+        StageSpec("decode", StageKind.CPU, ops=(("DecodeAndCropJpeg", 1.0),)),
+        StageSpec(
             "transfer",
             StageKind.TRANSFER,
-            200.0,
-            (("TransferBufferToInfeedLocked", 1.0), ("InfeedEnqueueTuple", 1.0)),
+            ops=(("TransferBufferToInfeedLocked", 1.0), ("InfeedEnqueueTuple", 1.0)),
         ),
     )
-    return BatchCost(stages, total_wall_us=500.0, transfer_wall_us=200.0)
+    cost = BatchPlan.compile(stages, (300.0, 200.0)).cost(1.0)
+    assert (cost.total_wall_us, cost.transfer_wall_us) == (500.0, 200.0)
+    return cost
 
 
 def test_host_worker_batch_events_end_at_ready_time():
