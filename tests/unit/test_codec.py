@@ -1,8 +1,10 @@
 """The binary record codec: blocks, frames, journals, record stores."""
 
+import hashlib
 import mmap
 import struct
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +25,8 @@ from repro.core.profiler.serialize import (
 from repro.errors import CodecError, JournalError, ProfilerError
 from repro.faults.inject import corrupt_frame, truncate_frame
 from repro.runtime.events import DeviceKind, StepKind
+
+GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden"
 
 
 def _step(number, ops=(), duration_us=100.0, kind=StepKind.TRAIN):
@@ -386,3 +390,90 @@ class TestBinaryRecordStore:
             path.write_bytes(codec.MAGIC + _bad_utf8_block(0, records[0]))
         with pytest.raises(ProfilerError, match="records.bin"):
             load_records(tmp_path / "store")
+
+
+#: Operator mixes of hand-built steps, shaped like the fleet-wide
+#: benchmark's: (name, device, mean duration in us).
+_MIXES = {
+    StepKind.TRAIN: (
+        ("MatMul", DeviceKind.TPU, 900.0),
+        ("Conv2D", DeviceKind.TPU, 1200.0),
+        ("Relu", DeviceKind.TPU, 80.0),
+        ("CrossReplicaSum", DeviceKind.TPU, 300.0),
+        ("InfeedDequeueTuple", DeviceKind.TPU, 50.0),
+        ("IteratorGetNext", DeviceKind.HOST, 400.0),
+    ),
+    StepKind.EVAL: (
+        ("MatMul", DeviceKind.TPU, 700.0),
+        ("Softmax", DeviceKind.TPU, 60.0),
+        ("OutfeedEnqueueTuple", DeviceKind.TPU, 40.0),
+        ("IteratorGetNext", DeviceKind.HOST, 350.0),
+    ),
+}
+
+
+def hand_built_stream(seed: int = 0, count: int = 600) -> list[ProfileRecord]:
+    """A seeded stream of hand-built records whose steps hold ``OperatorStats`` dicts.
+
+    Train and eval steps draw from fixed mixes, so names repeat across
+    steps and records; an operator is left out now and then, so record
+    layouts vary. Counts are 1-3. One record has no steps and one step
+    has no operators.
+    """
+    rng = np.random.default_rng(seed)
+    records = []
+    number = 0
+    for index in range(count):
+        record = ProfileRecord(
+            index=index,
+            window_start_us=number * 10_000.0,
+            window_end_us=0.0,
+            truncated=bool(rng.random() < 0.1),
+            final=index == count - 1,
+        )
+        clock = record.window_start_us
+        for _ in range(0 if index == count // 2 else int(rng.integers(1, 5))):
+            kind = StepKind.EVAL if number % 6 == 5 else StepKind.TRAIN
+            step = StepStats(step=number, kind=kind, start_us=clock)
+            busy = 0.0
+            for name, device, mean in _MIXES[kind]:
+                if rng.random() < 0.08 or number == 7:
+                    continue
+                duration = float(mean * rng.uniform(0.9, 1.1))
+                step.operators[(name, device.value)] = OperatorStats(
+                    name=name,
+                    device=device,
+                    count=int(rng.integers(1, 4)),
+                    total_duration_us=duration,
+                )
+                busy += duration
+            step.end_us = clock + busy * 1.25
+            step.tpu_idle_us = busy * 0.25
+            step.mxu_flops = busy * 4.0e6
+            clock = step.end_us
+            record.steps[number] = step
+            number += 1
+        record.window_end_us = clock
+        records.append(record)
+    return records
+
+
+class TestFrameGolden:
+    """The wire bytes of hand-built records, pinned by a SHA-256.
+
+    The journal golden pins records the profiler built, whose steps hold
+    columns; these records hold ``OperatorStats`` dicts, the encoder's
+    other input.
+    """
+
+    def test_hand_built_frames_match_the_golden(self):
+        records = hand_built_stream()
+        assert not records[len(records) // 2].steps
+        assert any(
+            not step.operators for record in records for step in record.steps.values()
+        )
+        digest = hashlib.sha256()
+        for seq, record in enumerate(records):
+            digest.update(codec.encode_frame(seq, record))
+        line = (GOLDEN / "frames_sha256.txt").read_text(encoding="utf-8").split()
+        assert digest.hexdigest() == line[0]
