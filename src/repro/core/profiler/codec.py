@@ -128,71 +128,126 @@ def _operator_columns(m: int) -> struct.Struct:
     return struct.Struct(f"<{m}I{m}B{m}q{m}d")
 
 
-def _string_table(names: dict[str, int]) -> bytes:
-    """The encoded string table of ``names``: count, then length-prefixed UTF-8."""
-    parts = [_U32.pack(len(names))]
-    for name in names:
-        raw = name.encode("utf-8")
+#: Record layouts :func:`encode_payload` keeps compiled; when it holds
+#: this many it is emptied and refills. A record's layout is its steps'
+#: operator keys and devices columns, and a job's records repeat a few
+#: of them: on one seed-1 benchmark episode, the first pass found 134
+#: layouts for 400 offline records (66.5% repeats), 88 for fleet-live's
+#: 142 (38.0%) and 3 for fleet-wide's 2,994 (99.9%). An encoding costs
+#: less than a per-record one only on a repeat (docs/performance.md,
+#: "Compiled step folds and record layouts").
+ENCODINGS = 256
+
+#: Compiled encodings by the tuple of a record's per-step key tuples;
+#: each entry also holds the devices columns it was compiled from, and
+#: serves a record only when both match. Keys hash in C; a device
+#: member would hash in Python code, so the devices are compared, not
+#: hashed.
+_encodings: dict[tuple, tuple] = {}
+
+
+@lru_cache(maxsize=64)
+def _payload_struct(table: int, n: int, m: int) -> struct.Struct:
+    """The struct of a whole payload: ``table`` bytes of string table and step
+    count, ``n`` steps and ``m`` operators."""
+    return struct.Struct(f"<qddB{table}s{n}q{n}B{4 * n}d{4 * (n + 1 + m) + m}s{m}q{m}d")
+
+
+def _compile_encoding(index: int, keys: tuple, devices: tuple) -> tuple:
+    """The encoding of a record whose steps have these keys and devices columns.
+
+    Returns the struct that packs the whole payload and the bytes it
+    takes from the layout: the string table with the step count after
+    it, and the per-step operator counts, the operator count and the
+    name-index and device-code columns. The record's header, step
+    metadata, operator counts and durations are packed around them.
+    """
+    names: dict[str, int] = {}
+    indices = [names.setdefault(name, len(names)) for name, _ in chain.from_iterable(keys)]
+    try:
+        raws = [name.encode("utf-8") for name in names]
+    except UnicodeEncodeError as error:
+        raise CodecError(
+            f"record {index} has an operator name UTF-8 cannot encode: {error.object!r}"
+        ) from None
+    parts = [_U32.pack(len(raws))]
+    for raw in raws:
         if len(raw) > 0xFFFF:
             raise CodecError(
                 f"operator name of {len(raw)} bytes overflows the string table"
             )
         parts.append(_U16.pack(len(raw)))
         parts.append(raw)
-    return b"".join(parts)
+    n, m = len(keys), len(indices)
+    parts.append(_U32.pack(n))
+    table = b"".join(parts)
+    try:
+        codes = list(map(_DEVICES.index, chain.from_iterable(devices)))
+    except ValueError:
+        name, device = next(
+            (key[0], device)
+            for key, device in zip(chain.from_iterable(keys), chain.from_iterable(devices))
+            if device not in _DEVICES
+        )
+        raise CodecError(
+            f"record {index}: operator {name!r} has device {device!r}, not a DeviceKind"
+        ) from None
+    columns = struct.pack(f"<{n + 1 + m}I{m}B", *map(len, keys), m, *indices, *codes)
+    return _payload_struct(len(table), n, m), table, columns
 
 
 def encode_payload(record: ProfileRecord) -> bytes:
-    """The columnar payload bytes of one record (no header, no CRC)."""
+    """The columnar payload bytes of one record (no header, no CRC).
+
+    The string table, the per-step operator counts and the name-index
+    and device-code columns come from the record's compiled layout;
+    only the header, the step metadata and the operators' counts and
+    durations are packed per record.
+    """
     flags = (_FLAG_TRUNCATED if record.truncated else 0) | (
         _FLAG_FINAL if record.final else 0
     )
     steps = list(record.steps.values())
-    n = len(steps)
     try:
-        header = _PAYLOAD_HEADER.pack(
-            record.index, record.window_start_us, record.window_end_us, flags
-        )
-        if not n:
-            return header + _U32.pack(0) + _U32.pack(0)
-        # Per-step key, device, count and duration tuples, each column
-        # flattened across steps by ``chain`` as it is packed.
+        if not steps:
+            return _PAYLOAD_HEADER.pack(
+                record.index, record.window_start_us, record.window_end_us, flags
+            ) + _U32.pack(0) + _U32.pack(0)
         keys, devices, counts, durations = zip(*[step.columns for step in steps])
-        op_names = [name for name, _ in chain.from_iterable(keys)]
-        # String table in first-appearance order (dedups operator names
-        # across steps; a name repeated every step is stored once).
-        names = {name: code for code, name in enumerate(dict.fromkeys(op_names))}
+        cached = _encodings.get(keys)
+        if cached is None or cached[0] != devices:
+            cached = (devices, _compile_encoding(record.index, keys, devices))
+            if len(_encodings) >= ENCODINGS:
+                _encodings.clear()
+            _encodings[keys] = cached
+        layout, table, columns = cached[1]
         numbers, kinds, starts, ends, idles, flops = zip(*map(_STEP_FIELDS, steps))
-        return b"".join(
-            (
-                header,
-                _string_table(names),
-                _U32.pack(n),
-                _step_columns(n).pack(
-                    *numbers,
-                    *map(_KIND_BY_CODE.index, kinds),
-                    *starts,
-                    *ends,
-                    *idles,
-                    *flops,
-                    *map(len, keys),
-                ),
-                _U32.pack(len(op_names)),
-                _operator_columns(len(op_names)).pack(
-                    *map(names.__getitem__, op_names),
-                    *map(_DEVICES.index, chain.from_iterable(devices)),
-                    *chain.from_iterable(counts),
-                    *chain.from_iterable(durations),
-                ),
-            )
+        try:
+            codes = list(map(_KIND_BY_CODE.index, kinds))
+        except ValueError:
+            step = next(step for step in steps if step.kind not in _KIND_BY_CODE)
+            raise CodecError(
+                f"record {record.index}: step {step.step} has kind {step.kind!r}, "
+                "not a StepKind"
+            ) from None
+        return layout.pack(
+            record.index,
+            record.window_start_us,
+            record.window_end_us,
+            flags,
+            table,
+            *numbers,
+            *codes,
+            *starts,
+            *ends,
+            *idles,
+            *flops,
+            columns,
+            *chain.from_iterable(counts),
+            *chain.from_iterable(durations),
         )
     except struct.error as error:
         raise CodecError(f"record {record.index} does not fit the codec: {error}")
-    except UnicodeEncodeError as error:
-        raise CodecError(
-            f"record {record.index} has an operator name UTF-8 cannot encode: "
-            f"{error.object!r}"
-        ) from None
 
 
 @lru_cache(maxsize=256)

@@ -12,8 +12,10 @@ position-aligned tuples — (name, device) key, device, count and total
 duration — and is never changed once built, so a step can be shared by
 a record, a step stream and a live job without copying. The codec
 decodes into columns and writes from them, and step assembly, live
-folding and the feature builder read them; :class:`OperatorTable` is
-the one place their counts and durations are added up.
+folding and the feature builder read them. A profile response's
+executions become columns in one fold per step, from a plan compiled
+once per step layout (:func:`_step_plan`); :class:`OperatorTable` is
+where columns are added up.
 
 :attr:`StepStats.operators` is the same table as a dict of
 :class:`OperatorStats`, for cold readers and for code that builds steps
@@ -35,37 +37,6 @@ import numpy as np
 from repro.errors import ProfilerError
 from repro.runtime.events import DeviceKind, OpBlock, StepKind, StepMetadata
 from repro.runtime.rpc import ProfileResponse
-
-
-@lru_cache(maxsize=256)
-def _fold_layout(names: tuple[str, ...], device: str):
-    """How a block with these op names, on the device of this value, folds into totals.
-
-    Keyed by the device's value, not the member: an enum member hashes
-    in Python code, and this runs once per block.
-
-    Returns the operator keys of the distinct names in first-appearance
-    order and their counts, the table shape ``(distinct names, 1 + most
-    occurrences)``, and for each op the flat table slot it fills: row
-    of its name, column 1 + its occurrence number. Column 0 holds the
-    operator's current total, and unused slots stay 0.0.
-    """
-    rows: dict[str, int] = {}
-    counts: list[int] = []
-    slots: list[int] = []
-    for name in names:
-        row = rows.setdefault(name, len(rows))
-        if row == len(counts):
-            counts.append(0)
-        counts[row] += 1
-        slots.append(row)
-    width = 1 + max(counts, default=0)
-    seen = [0] * len(counts)
-    for index, row in enumerate(slots):
-        seen[row] += 1
-        slots[index] = row * width + seen[row]
-    keys = tuple((name, device) for name in rows)
-    return keys, tuple(counts), (len(counts), width), np.array(slots, dtype=np.intp)
 
 
 @dataclass
@@ -188,11 +159,6 @@ class OperatorTable:
         entries = dict(zip(self.index, zip(self.counts, self.durations)))
         return f"OperatorTable({entries!r})"
 
-    def _append(self, key: tuple[str, str], count: int, duration: float) -> None:
-        self.index[key] = len(self.counts)
-        self.counts.append(count)
-        self.durations.append(duration)
-
     def add(self, columns: OperatorColumns) -> None:
         """Add one step's columns."""
         index, counts, durations = self.index, self.counts, self.durations
@@ -205,56 +171,6 @@ class OperatorTable:
             else:
                 counts[position] += count
                 durations[position] += duration
-
-    def add_event(self, name: str, device: DeviceKind, duration_us: float) -> None:
-        """Add one operator invocation."""
-        key = (name, device._value_)
-        position = self.index.get(key)
-        if position is None:
-            self._append(key, 1, 0.0 + duration_us)
-        else:
-            self.counts[position] += 1
-            self.durations[position] += duration_us
-
-    def add_block(self, block: OpBlock) -> None:
-        """Add a block's executions; the same result as ``add_event`` on each in turn.
-
-        Each operator's total must be the same float as adding its
-        durations one by one, in log order, to its current total. The
-        durations are gathered into one row per operator, after its
-        current total, and ``np.cumsum`` adds along each row in order;
-        rows are padded with 0.0, which leaves a non-negative total
-        unchanged. A pairwise sum (``np.sum``) would round differently,
-        and so would Python's ``sum()`` from 3.12 on, which compensates.
-
-        A block whose keys are all new to the table is appended in one
-        pass, and when each of its names occurs once an operator's total
-        is ``0.0 + d`` with no row table at all.
-        """
-        keys, counts, shape, slots = _fold_layout(block.names, block.device._value_)
-        index = self.index
-        if index.keys().isdisjoint(keys):
-            if shape[1] == 2:
-                totals = (block.durations + 0.0).tolist()
-            else:
-                table = np.zeros(shape)
-                table.put(slots, block.durations)
-                totals = table.cumsum(axis=1)[:, -1].tolist()
-            index.update(zip(keys, range(len(self.counts), len(self.counts) + len(keys))))
-            self.counts.extend(counts)
-            self.durations.extend(totals)
-            return
-        found = [index.get(key) for key in keys]
-        table = np.zeros(shape)
-        table.put(slots, block.durations)
-        table[:, 0] = [0.0 if at is None else self.durations[at] for at in found]
-        totals = table.cumsum(axis=1)[:, -1].tolist()
-        for key, count, total, position in zip(keys, counts, totals, found):
-            if position is None:
-                self._append(key, count, total)
-            else:
-                self.counts[position] += count
-                self.durations[position] = total
 
     def freeze(self) -> OperatorColumns:
         """The table as immutable columns."""
@@ -463,6 +379,115 @@ def fold_view(pending: StepStats | None, view: StepStats) -> StepStats:
     )
 
 
+#: Step layouts :func:`_step_plan` keeps compiled. A step's layout is
+#: the sequence of op names and devices its entries log, and a
+#: profiled job repeats a few of them step after step: on one seed-1
+#: benchmark episode, the first pass found 78 layouts for 1,504 offline
+#: steps (94.8% repeats) and 41 for fleet-live's 1,823 (97.8%). The
+#: fold costs less than the per-execution one only on a repeat
+#: (docs/performance.md, "Compiled step folds and record layouts").
+STEP_PLANS = 256
+
+
+@lru_cache(maxsize=STEP_PLANS)
+def _step_plan(layout: tuple[tuple[tuple[str, ...] | str, str], ...]):
+    """How a step whose entries log these op names and devices folds into columns.
+
+    ``layout`` holds one ``(names, device value)`` pair per entry of the
+    step, in log order: a block's tuple of names (a cut block's are its
+    slice), or an event's one name as a string. The device is its
+    value, not the member: an enum member hashes in Python code. The
+    step's durations arrive as its blocks' durations in log order,
+    then its events'.
+
+    Returns the step's operator keys in first-appearance order, their
+    devices and counts, and how to add up their durations: None when
+    every key occurs once and the durations arrive in key order, else
+    a buffer layout. The buffer starts with a table of one row per key
+    that occurs more than once, ``width`` = 1 + its most occurrences
+    wide, then holds one cell per key that occurs once. ``slots`` gives,
+    for each duration as it arrives, the cell it fills: its key's row
+    at column 1 + its occurrence number in log order, or its single
+    key's cell. Column 0 is the 0.0 each total starts from, and unused
+    cells stay 0.0. ``ends`` gives, for each key in key order, the cell
+    its total ends in.
+    """
+    rows: dict[tuple[str, str], int] = {}
+    counts: list[int] = []
+    executions: list[tuple[bool, int, int]] = []  # (is an event, row, occurrence)
+    for names, device in layout:
+        event = isinstance(names, str)
+        for name in (names,) if event else names:
+            row = rows.setdefault((name, device), len(rows))
+            if row == len(counts):
+                counts.append(0)
+            counts[row] += 1
+            executions.append((event, row, counts[row]))
+    keys = tuple(rows)
+    devices = tuple([_DEVICE_BY_VALUE[device] for _, device in keys])
+    # A stable sort on the flag puts block executions first: arrival order.
+    arrival = sorted(executions, key=itemgetter(0))
+    if max(counts, default=0) == 1 and arrival == executions:
+        return keys, devices, tuple(counts), None
+    # Occurrence j of a key fills cell base + j; a total ends in ``ends``.
+    width = 1 + max(counts)
+    base = [0] * len(counts)
+    ends = [0] * len(counts)
+    size = 0
+    for row, count in enumerate(counts):
+        if count > 1:
+            base[row], ends[row] = size, size + width - 1
+            size += width
+    repeated = size // width
+    for row, count in enumerate(counts):
+        if count == 1:
+            base[row], ends[row] = size - 1, size
+            size += 1
+    slots = np.array([base[row] + j for _, row, j in arrival], dtype=np.intp)
+    fold = (size, repeated, width, slots, np.array(ends, dtype=np.intp))
+    return keys, devices, tuple(counts), fold
+
+
+def _fold_step(entries: list) -> OperatorColumns:
+    """The columns of one step's executions, ``entries`` in log order.
+
+    A key's total is 0.0 plus its durations added one at a time in log
+    order, blocks and events alike. The step's durations are gathered
+    in one array and put into the plan's buffer, a repeated key's in
+    one table row after its 0.0, and ``np.cumsum`` adds along each row
+    in order; padding adds 0.0, which leaves a total unchanged (a total
+    is never -0.0). A pairwise sum (``np.sum``) would round
+    differently, and so would Python's ``sum()`` from 3.12 on, which
+    compensates. A key that occurs once totals ``d + 0.0``, which turns
+    -0.0 into 0.0 as adding to 0.0 does; the same ``+ 0.0`` leaves a
+    repeated key's total as it is.
+    """
+    layout = []
+    arrays = []
+    events = []
+    for entry in entries:
+        if isinstance(entry, OpBlock):
+            layout.append((entry.names, entry.device._value_))
+            arrays.append(entry.durations)
+        else:
+            layout.append((entry.name, entry.device._value_))
+            events.append(entry.duration_us)
+    keys, devices, counts, fold = _step_plan(tuple(layout))
+    arrays.append(events)
+    durations = np.concatenate(arrays)
+    if fold is None:
+        totals = durations + 0.0
+    else:
+        size, rows, width, slots, ends = fold
+        buffer = np.zeros(size)
+        buffer.put(slots, durations)
+        if rows:
+            table = buffer[: rows * width].reshape(rows, width)
+            table.cumsum(axis=1, out=table)
+        totals = buffer.take(ends) + 0.0
+    return _tuple_new(OperatorColumns, (keys, devices, counts, tuple(totals.tolist())))
+
+
 @dataclass
 class ProfileRecord:
     """The statistical summary of one profile response.
@@ -488,18 +513,16 @@ class ProfileRecord:
             truncated=response.truncated,
             final=response.final,
         )
-        tables: dict[int, OperatorTable] = {}
+        by_step: dict[int, list] = {}
         for entry in response.entries:
-            table = tables.get(entry.step)
-            if table is None:
-                table = tables[entry.step] = OperatorTable()
-            if isinstance(entry, OpBlock):
-                table.add_block(entry)
+            entries = by_step.get(entry.step)
+            if entries is None:
+                by_step[entry.step] = [entry]
             else:
-                table.add_event(entry.name, entry.device, entry.duration_us)
+                entries.append(entry)
         steps = record.steps
-        for number, table in tables.items():
-            steps[number] = StepStats(step=number, columns=table.freeze())
+        for number, entries in by_step.items():
+            steps[number] = StepStats(step=number, columns=_fold_step(entries))
         for metadata in response.step_metadata:
             step = steps.get(metadata.step)
             if step is None:

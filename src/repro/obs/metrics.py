@@ -232,6 +232,12 @@ class MetricFamily:
                 self._children[key] = child
             return child
 
+    def find(self, **label_values: str) -> object | None:
+        """The child for one label combination, or None; never creates one."""
+        key = tuple(str(label_values[name]) for name in self.label_names)
+        with self._lock:
+            return self._children.get(key)
+
     def remove(self, **label_values: str) -> object | None:
         """Drop one child (e.g. when its labeled entity is evicted)."""
         key = tuple(str(label_values[name]) for name in self.label_names)

@@ -138,6 +138,11 @@ class ServiceMetrics:
             for child in self._job_quarantines.children()
         }
 
+    def quarantined_for(self, job_id: str) -> int:
+        """One live job's quarantine count, without walking every job's."""
+        child = self._job_quarantines.find(job=job_id)
+        return 0 if child is None else int(child.value)
+
     @property
     def evicted_quarantines(self) -> int:
         """Quarantined records attributed to jobs since evicted."""

@@ -721,7 +721,7 @@ class FleetService:
                 self._queue(job_id),
                 max_phases=self.options.snapshot_phases,
                 top_operators=self.options.snapshot_operators,
-                quarantined=self.metrics.quarantined_by_job.get(job_id, 0),
+                quarantined=self.metrics.quarantined_for(job_id),
                 chip=chip,
                 chip_quarantined=chip in self._quarantined_chips,
             )

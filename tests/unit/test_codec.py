@@ -392,6 +392,69 @@ class TestBinaryRecordStore:
             load_records(tmp_path / "store")
 
 
+
+def _bad_kind_record(index):
+    record = _record(index, [_step(2 * index, [("MatMul", DeviceKind.TPU, 5.0)])])
+    record.steps[2 * index].kind = "train"
+    return record
+
+
+def _bad_device_record(index, name="MatMul"):
+    step = _step(2 * index)
+    step.operators[(name, "tpu")] = OperatorStats(
+        name=name, device="tpu", count=1, total_duration_us=5.0
+    )
+    return _record(index, [step])
+
+
+#: A step kind or operator device that is not an enum member, and the
+#: field each error names.
+_NOT_MEMBERS = [
+    pytest.param(_bad_kind_record, "step 6 has kind 'train'", id="kind"),
+    pytest.param(_bad_device_record, "operator 'MatMul' has device 'tpu'", id="device"),
+]
+
+
+class TestNotEnumMembers:
+    """A kind or device outside its enum is a CodecError naming the record and field."""
+
+    @pytest.mark.parametrize(("build", "field"), _NOT_MEMBERS)
+    def test_through_the_fleet_sink(self, build, field):
+        from repro.serve import FleetService
+
+        service = FleetService()
+        job = service.register("bert-mrpc").job_id
+        with pytest.raises(CodecError, match=f"record 3: {field}"):
+            service.sink(job)(build(3))
+        assert service.metrics.records_submitted == 0
+
+    @pytest.mark.parametrize(("build", "field"), _NOT_MEMBERS)
+    def test_through_the_journal_which_writes_nothing(self, tmp_path, build, field):
+        path = tmp_path / "run.journal"
+        journal = RecordJournal(path)
+        journal.append(_typical_record(0))
+        written = journal.bytes_written
+        with pytest.raises(CodecError, match=f"record 3: {field}"):
+            journal.append(build(3))
+        assert (journal.bytes_written, journal.entries_written) == (written, 1)
+        journal.append(_typical_record(2))
+        journal.close()
+        recovery = recover_journal(path)
+        assert recovery.lossless
+        assert [record.index for record in recovery.records] == [0, 2]
+
+    @pytest.mark.parametrize(("build", "field"), _NOT_MEMBERS)
+    def test_through_save_records(self, tmp_path, build, field):
+        with pytest.raises(CodecError, match=f"record 3: {field}"):
+            save_records([_typical_record(0), build(3)], tmp_path / "store")
+
+    def test_a_layout_that_fails_to_build_is_not_cached(self):
+        record = _bad_device_record(3, name="NeverCompiled")
+        keys = (record.steps[6].columns.keys,)
+        with pytest.raises(CodecError):
+            codec.encode_payload(record)
+        assert keys not in codec._encodings
+
 #: Operator mixes of hand-built steps, shaped like the fleet-wide
 #: benchmark's: (name, device, mean duration in us).
 _MIXES = {

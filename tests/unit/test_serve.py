@@ -509,6 +509,44 @@ class TestQuarantine:
         assert len(result.labels) == tier.analysis(job).steps_seen >= 12
 
 
+class TestJobSnapshotQuarantineCount:
+    """A job snapshot reads its own tenant's quarantine count, not every tenant's."""
+
+    def test_a_snapshot_walks_no_counter_children(self, monkeypatch):
+        service = FleetService()
+        jobs = [service.register("bert-mrpc").job_id for _ in range(200)]
+        for job in jobs:
+            service.metrics.record_quarantine(job)
+        family = service.metrics._job_quarantines
+        walks = []
+        children = family.children
+        monkeypatch.setattr(family, "children", lambda: walks.append(1) or children())
+        assert service.job_snapshot(jobs[7]).records_quarantined == 1
+        assert walks == []
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_snapshots_add_no_series_to_the_exposition(self, shards):
+        from repro.serve.shard import ShardedFleet, ShardedFleetOptions
+
+        tier = ShardedFleet(ShardedFleetOptions(shards=shards))
+        quarantined, clean = (tier.register("bert-mrpc").job_id for _ in range(2))
+        inverted = ProfileRecord(index=0, window_start_us=10.0, window_end_us=1.0)
+        assert not tier.submit(quarantined, inverted).accepted
+
+        def series() -> list[str]:
+            return [
+                line
+                for service in tier.shards
+                for line in service.metrics.registry.render().splitlines()
+                if "job_quarantined" in line
+            ]
+
+        before = series()
+        assert any(quarantined in line for line in before)
+        assert tier.job_snapshot(quarantined).records_quarantined == 1
+        assert tier.job_snapshot(clean).records_quarantined == 0
+        assert series() == before
+
 class TestStalling:
     def _service(self, deadline=2):
         return FleetService(FleetServiceOptions(heartbeat_deadline=deadline))
