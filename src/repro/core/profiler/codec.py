@@ -142,14 +142,19 @@ ENCODINGS = 256
 #: each entry also holds the devices columns it was compiled from, and
 #: serves a record only when both match. Keys hash in C; a device
 #: member would hash in Python code, so the devices are compared, not
-#: hashed.
+#: hashed. An entry is stored whole, so two threads encoding at once
+#: at worst compile one layout twice.
 _encodings: dict[tuple, tuple] = {}
 
 
 @lru_cache(maxsize=64)
 def _payload_struct(table: int, n: int, m: int) -> struct.Struct:
-    """The struct of a whole payload: ``table`` bytes of string table and step
-    count, ``n`` steps and ``m`` operators."""
+    """A payload's struct: a ``table``-byte string table, ``n`` steps, ``m`` operators.
+
+    The string table (with the step count after it) and the block of
+    per-step counts, operator count, name indices and device codes are
+    ``s`` fields the caller passes as bytes.
+    """
     return struct.Struct(f"<qddB{table}s{n}q{n}B{4 * n}d{4 * (n + 1 + m) + m}s{m}q{m}d")
 
 

@@ -481,9 +481,8 @@ def _fold_step(entries: list) -> OperatorColumns:
         size, rows, width, slots, ends = fold
         buffer = np.zeros(size)
         buffer.put(slots, durations)
-        if rows:
-            table = buffer[: rows * width].reshape(rows, width)
-            table.cumsum(axis=1, out=table)
+        table = buffer[: rows * width].reshape(rows, width)
+        table.cumsum(axis=1, out=table)
         totals = buffer.take(ends) + 0.0
     return _tuple_new(OperatorColumns, (keys, devices, counts, tuple(totals.tolist())))
 
