@@ -158,6 +158,12 @@ def _payload_struct(table: int, n: int, m: int) -> struct.Struct:
     return struct.Struct(f"<qddB{table}s{n}q{n}B{4 * n}d{4 * (n + 1 + m) + m}s{m}q{m}d")
 
 
+@lru_cache(maxsize=64)
+def _layout_columns(n: int, m: int) -> struct.Struct:
+    """The per-step operator counts, operator count, name indices and device codes."""
+    return struct.Struct(f"<{n + 1 + m}I{m}B")
+
+
 def _compile_encoding(index: int, keys: tuple, devices: tuple) -> tuple:
     """The encoding of a record whose steps have these keys and devices columns.
 
@@ -197,7 +203,7 @@ def _compile_encoding(index: int, keys: tuple, devices: tuple) -> tuple:
         raise CodecError(
             f"record {index}: operator {name!r} has device {device!r}, not a DeviceKind"
         ) from None
-    columns = struct.pack(f"<{n + 1 + m}I{m}B", *map(len, keys), m, *indices, *codes)
+    columns = _layout_columns(n, m).pack(*map(len, keys), m, *indices, *codes)
     return _payload_struct(len(table), n, m), table, columns
 
 

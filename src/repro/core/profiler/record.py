@@ -383,9 +383,10 @@ def fold_view(pending: StepStats | None, view: StepStats) -> StepStats:
 #: the sequence of op names and devices its entries log, and a
 #: profiled job repeats a few of them step after step: on one seed-1
 #: benchmark episode, the first pass found 78 layouts for 1,504 offline
-#: steps (94.8% repeats) and 41 for fleet-live's 1,823 (97.8%). The
-#: fold costs less than the per-execution one only on a repeat
-#: (docs/performance.md, "Compiled step folds and record layouts").
+#: steps (94.8% repeats) and 41 for fleet-live's 1,823 (97.8%). A
+#: repeat skips the compile; a layout that never repeats pays it, about
+#: what the per-block layouts it replaced cost (docs/performance.md,
+#: "Compiled step folds and record layouts").
 STEP_PLANS = 256
 
 
@@ -412,25 +413,34 @@ def _step_plan(layout: tuple[tuple[tuple[str, ...] | str, str], ...]):
     cells stay 0.0. ``ends`` gives, for each key in key order, the cell
     its total ends in.
     """
-    rows: dict[tuple[str, str], int] = {}
+    tables: dict[str, dict[str, int]] = {}  # device value -> name -> row
+    keys: list[tuple[str, str]] = []
     counts: list[int] = []
-    executions: list[tuple[bool, int, int]] = []  # (is an event, row, occurrence)
+    # Row and occurrence number of each execution, blocks' and events' apart.
+    block_rows, block_seen, event_rows, event_seen = [], [], [], []
+    reordered = False  # whether an event precedes a block's execution
     for names, device in layout:
-        event = isinstance(names, str)
-        for name in (names,) if event else names:
-            row = rows.setdefault((name, device), len(rows))
-            if row == len(counts):
+        table = tables.setdefault(device, {})
+        if isinstance(names, str):
+            names, rows, seen = (names,), event_rows, event_seen
+        else:
+            rows, seen = block_rows, block_seen
+            reordered = reordered or bool(event_rows)
+        for name in names:
+            row = table.get(name)
+            if row is None:
+                row = table[name] = len(keys)
+                keys.append((name, device))
                 counts.append(0)
             counts[row] += 1
-            executions.append((event, row, counts[row]))
-    keys = tuple(rows)
+            rows.append(row)
+            seen.append(counts[row])
+    keys = tuple(keys)
     devices = tuple([_DEVICE_BY_VALUE[device] for _, device in keys])
-    # A stable sort on the flag puts block executions first: arrival order.
-    arrival = sorted(executions, key=itemgetter(0))
-    if max(counts, default=0) == 1 and arrival == executions:
+    width = 1 + max(counts, default=0)
+    if width <= 2 and not reordered:
         return keys, devices, tuple(counts), None
     # Occurrence j of a key fills cell base + j; a total ends in ``ends``.
-    width = 1 + max(counts)
     base = [0] * len(counts)
     ends = [0] * len(counts)
     size = 0
@@ -443,7 +453,7 @@ def _step_plan(layout: tuple[tuple[tuple[str, ...] | str, str], ...]):
         if count == 1:
             base[row], ends[row] = size - 1, size
             size += 1
-    slots = np.array([base[row] + j for _, row, j in arrival], dtype=np.intp)
+    slots = np.take(base, block_rows + event_rows) + np.array(block_seen + event_seen)
     fold = (size, repeated, width, slots, np.array(ends, dtype=np.intp))
     return keys, devices, tuple(counts), fold
 
