@@ -233,10 +233,12 @@ class MetricFamily:
             return child
 
     def find(self, **label_values: str) -> object | None:
-        """The child for one label combination, or None; never creates one."""
-        key = tuple(str(label_values[name]) for name in self.label_names)
-        with self._lock:
-            return self._children.get(key)
+        """The child for one label combination, or None; never creates one.
+
+        A lookup adds and removes nothing, so it takes no lock.
+        """
+        key = tuple([str(label_values[name]) for name in self.label_names])
+        return self._children.get(key)
 
     def remove(self, **label_values: str) -> object | None:
         """Drop one child (e.g. when its labeled entity is evicted)."""
