@@ -15,6 +15,7 @@ ending with a final drain at Stop()) while keeping runs deterministic.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -35,8 +36,31 @@ _REQUEST_SECONDS = obs.histogram(
 ).labels()
 _OVERHEAD_FRACTION = obs.gauge(
     "repro_profiler_overhead_fraction",
-    "Real wall time spent inside profiler code over the whole run.",
+    "Real wall time spent inside profiler code over the run time of every profiler stopped so far.",
 ).labels()
+
+
+class _Overhead:
+    """Self and run seconds summed over every profiler stopped in this process.
+
+    The gauge is their quotient, so on a multi-job run it is the share of
+    all the jobs together, whichever order they stop in.
+    """
+
+    def __init__(self):
+        self.self_seconds = self.run_seconds = 0.0
+        self._lock = threading.Lock()
+
+    def add(self, self_seconds: float, run_seconds: float) -> None:
+        """Fold in one stopped profiler and publish the share."""
+        with self._lock:
+            self.self_seconds += self_seconds
+            self.run_seconds += run_seconds
+            if self.run_seconds > 0:
+                _OVERHEAD_FRACTION.set(min(self.self_seconds / self.run_seconds, 1.0))
+
+
+_STOPPED = _Overhead()
 
 
 @dataclass(frozen=True)
@@ -201,10 +225,8 @@ class TPUPointProfiler:
         return list(self._records)
 
     def _publish_overhead(self) -> None:
-        """Expose the profiler's own wall-time share as a gauge."""
-        total = time.perf_counter() - self._wall_start
-        if total > 0:
-            _OVERHEAD_FRACTION.set(min(self._self_seconds / total, 1.0))
+        """Add this run's wall time and the profiler's own to the process-wide share."""
+        _STOPPED.add(self._self_seconds, time.perf_counter() - self._wall_start)
 
     def _drain_and_close(self) -> None:
         # Final drain: keep requesting until the service marks the

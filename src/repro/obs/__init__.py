@@ -46,6 +46,7 @@ from repro.obs.tracing import (
     Span,
     Tracer,
     default_tracer,
+    record_span,
     set_tracing_enabled,
     trace,
     write_trace,
@@ -107,7 +108,7 @@ def ensure_core_metrics() -> None:
     """
     gauge(
         "repro_profiler_overhead_fraction",
-        "Real wall time spent inside profiler code over the whole run.",
+        "Real wall time spent inside profiler code over the run time of every profiler stopped so far.",
     )
     histogram(
         "repro_analyzer_duration_seconds",
@@ -202,6 +203,7 @@ __all__ = [
     "mix_distance",
     "parse_prometheus",
     "phase_fingerprint",
+    "record_span",
     "render_prometheus",
     "set_tracing_enabled",
     "sparkline",

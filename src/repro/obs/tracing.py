@@ -171,11 +171,41 @@ class Tracer:
         finally:
             span.duration_us = max(self._now_us() - span.start_us, 0.0)
             stack.pop()
-            with self._lock:
-                if len(self._spans) == self.max_spans:
-                    self.dropped_spans += 1
-                    _spans_dropped_counter().inc()
-                self._spans.append(span)  # a full deque drops its oldest
+            self._keep(span)
+
+    def record(self, name: str, start: float, seconds: float, **attributes) -> None:
+        """Log a span timed elsewhere, nested under the calling thread's open span.
+
+        ``start`` is a :func:`time.perf_counter` reading and ``seconds``
+        the span's length. On Linux ``perf_counter`` reads the
+        system-wide monotonic clock, so work timed in another process
+        (the k-sweep's helper) lands on this tracer's timeline.
+        """
+        if not self.enabled:
+            return
+        stack = self._stack()
+        with self._lock:
+            span_id = self._next_id
+            self._next_id += 1
+        self._keep(
+            Span(
+                span_id=span_id,
+                name=name,
+                start_us=(start - self._epoch) * 1e6,
+                parent_id=stack[-1].span_id if stack else None,
+                thread_id=threading.get_ident(),
+                duration_us=max(seconds * 1e6, 0.0),
+                attributes=dict(attributes),
+            )
+        )
+
+    def _keep(self, span: Span) -> None:
+        """Store a finished span, dropping the oldest when full."""
+        with self._lock:
+            if len(self._spans) == self.max_spans:
+                self.dropped_spans += 1
+                _spans_dropped_counter().inc()
+            self._spans.append(span)  # a full deque drops its oldest
 
     # --- reading -----------------------------------------------------------
 
@@ -272,6 +302,11 @@ def default_tracer() -> Tracer:
 def trace(name: str, **attributes):
     """Open a span on the default tracer (the common entry point)."""
     return _DEFAULT_TRACER.trace(name, **attributes)
+
+
+def record_span(name: str, start: float, seconds: float, **attributes) -> None:
+    """Log a span timed elsewhere on the default tracer (see :meth:`Tracer.record`)."""
+    _DEFAULT_TRACER.record(name, start, seconds, **attributes)
 
 
 def set_tracing_enabled(enabled: bool) -> bool:

@@ -19,6 +19,7 @@ from repro.serve.metrics import ServiceMetrics
 
 # The package re-exports the function ``kmeans`` under the module's name.
 kmeans_mod = importlib.import_module("repro.core.analyzer.kmeans")
+profiler_mod = importlib.import_module("repro.core.profiler.profiler")
 
 
 def _spans_after(marker):
@@ -52,6 +53,33 @@ class TestProfilerWiring:
         # The overhead fraction is a real measurement in (0, 1].
         assert 0.0 < gauge.value <= 1.0
         assert any(s.name == "profiler.stop" for s in _spans_after(span_marker))
+
+    def test_overhead_fraction_pools_every_stopped_profiler(self, monkeypatch):
+        gauge = obs.gauge("repro_profiler_overhead_fraction").labels()
+        runs = [(1.0, 10.0), (3.0, 10.0), (6.0, 20.0)]  # (self, run) seconds; shares differ
+        exposed = []
+        for order in (runs, runs[::-1]):
+            monkeypatch.setattr(profiler_mod, "_STOPPED", profiler_mod._Overhead())
+            for self_seconds, run_seconds in order:
+                profiler_mod._STOPPED.add(self_seconds, run_seconds)
+            exposed.append(gauge.value)
+        assert exposed == [0.25, 0.25]  # 10 of 40 s, whichever profiler stopped last
+
+    def test_overhead_fraction_of_one_profiler_is_its_own_share(
+        self, tiny_model, tiny_dataset, monkeypatch
+    ):
+        gauge = obs.gauge("repro_profiler_overhead_fraction").labels()
+        monkeypatch.setattr(profiler_mod, "_STOPPED", profiler_mod._Overhead())
+        estimator = tiny_model.build_estimator(tiny_dataset)
+        profiler = TPUPointProfiler(estimator, ProfilerOptions(request_interval_ms=200.0))
+        profiler.start(analyzer=True)
+        estimator.train()
+        profiler.stop()
+        stopped = profiler_mod._STOPPED
+        assert stopped.self_seconds == profiler._self_seconds > 0
+        # The share a single profiler always published: its self time over its run.
+        assert gauge.value == profiler._self_seconds / stopped.run_seconds
+        assert stopped.run_seconds > stopped.self_seconds
 
     def test_request_latency_histogram_grows(self, tiny_estimator):
         histogram = obs.histogram("repro_profiler_request_seconds").labels()
